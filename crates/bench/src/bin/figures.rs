@@ -28,14 +28,14 @@
 //! trace.
 //!
 //! `--wallclock` runs the wall-clock engine comparison instead of the
-//! figures: all five applications on the stack, register and native
-//! execution engines, reporting real host time, interpreted kernel
-//! ops/sec, the register-over-stack and native-over-register speedups,
-//! and which engine actually executed each run (the trace `engine` tag),
-//! writing the machine-readable result to `BENCH_6.json`
-//! (`--wallclock-out <path>` overrides; `--repeats <N>` sets runs per
-//! engine, default 3). Exits non-zero when any app's engines disagree on
-//! output or virtual clock.
+//! figures: all five applications on the stack and native execution
+//! engines, reporting real host time, interpreted kernel ops/sec, the
+//! native-over-stack speedup, and which engine actually executed each
+//! run (the trace `engine` tag), writing the machine-readable result to
+//! `BENCH_6.json` (`--wallclock-out <path>` overrides — pass it to keep
+//! the checked-in three-engine record; `--repeats <N>` sets runs per
+//! engine, default 3). Exits non-zero when the engines disagree on any
+//! app's output or virtual clock.
 //!
 //! `--sdc-seed <N>` runs SDC mode instead of the figures: the five
 //! applications under a seed-`N` silent-corruption schedule on private
@@ -48,16 +48,15 @@
 //!
 //! `--coexec` runs the proof-guided co-execution bench instead of the
 //! figures: matmul and mandelbrot problem-size sweeps comparing each
-//! single device against the static/chunked/guided NDRange-splitting
-//! policies (reporting the crossover size where co-execution starts to
-//! win), plus lud and docrank dispatch chains with and without fused
+//! single device against the static min-makespan NDRange split
+//! (reporting the crossover size where co-execution starts to win),
+//! plus lud and docrank dispatch chains with and without fused
 //! dispatch batching (reporting the charged-launch-overhead reduction).
 //! Writes the machine-readable result to `BENCH_9.json` (`--coexec-out
 //! <path>` overrides; `--coexec-quick` runs a reduced two-point sweep
 //! for CI). Exits non-zero when any co-executed or batched run's output
-//! diverges from its single-device reference, the guided policy falls
-//! materially behind static, no crossover is found, or batching saves
-//! less than 2× of lud's charged launch overhead.
+//! diverges from its single-device reference, no crossover is found, or
+//! batching saves less than 2× of lud's charged launch overhead.
 //!
 //! `--serve` runs the multi-tenant serving bench instead of the figures:
 //! three mixed-application workloads drive an open-loop load at ~2× the
@@ -87,9 +86,8 @@ fn run_coexec_mode(sizes: &Sizes, quick: bool, out_path: &str) -> ! {
             if !report.all_consistent() {
                 eprintln!(
                     "error: a co-executed or batched run diverged from its \
-                     single-device reference, a sweep found no crossover, the \
-                     guided policy fell materially behind static, or batching \
-                     saved less than the required launch overhead"
+                     single-device reference, a sweep found no crossover, or \
+                     batching saved less than the required launch overhead"
                 );
                 std::process::exit(1);
             }

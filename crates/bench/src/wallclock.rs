@@ -1,12 +1,12 @@
-//! Wall-clock benchmark trajectory: the five applications on all three
+//! Wall-clock benchmark trajectory: the five applications on both
 //! execution engines.
 //!
 //! Everything else in this harness is measured in *virtual* nanoseconds,
 //! which by design cannot see how fast the simulator itself runs. This
 //! module measures the other axis: real host time for the same five
 //! Ensemble applications, once per execution engine — the reference stack
-//! interpreter, the register-IR engine, and the native work-group engine
-//! (see [`oclsim::engine`] for the ladder).
+//! interpreter and the native work-group engine (see [`oclsim::engine`]).
+//! BENCH_6.json keeps the retired register engine's numbers.
 //!
 //! Each app is compiled once; the compiled module is then run to
 //! completion `repeats` times per engine and the **minimum** wall time is
@@ -14,9 +14,9 @@
 //! the run least disturbed by the host). The first run per engine also
 //! captures the program's print output, its virtual-clock segment totals,
 //! the retired abstract kernel ops, and — from the kernel trace spans'
-//! `engine` tag — which engine *actually executed* the dispatches (a rung
-//! may decline a kernel and fall down the ladder, so the requested engine
-//! is not evidence of what ran). The harness asserts the engines agree on
+//! `engine` tag — which engine *actually executed* the dispatches (the
+//! native lowering may decline a kernel and fall back to the stack
+//! engine, so the requested engine is not evidence of what ran). The harness asserts the engines agree on
 //! output, ops, and virtual clock: engines may only differ in host speed,
 //! never in results or virtual time.
 //!
@@ -33,7 +33,7 @@ use trace::{SpanKind, TraceSink};
 /// What one engine measured for one application.
 #[derive(Debug, Clone)]
 pub struct EngineMeasure {
-    /// Engine label *requested* (`"stack"` / `"register"` / `"native"`).
+    /// Engine label *requested* (`"stack"` / `"native"`).
     pub engine: &'static str,
     /// Best (minimum) wall-clock time over the repeats, in host ns.
     pub wall_ns: u128,
@@ -51,51 +51,33 @@ pub struct EngineMeasure {
     /// Engine labels that *actually executed* kernel dispatches in the
     /// first run, harvested from the trace spans' `engine` tag — sorted,
     /// deduplicated. `["native"]` means every dispatch ran on the native
-    /// rung; a mixed list means some kernels fell down the ladder.
+    /// engine; a mixed list means some kernels fell back to the stack.
     pub ran: Vec<String>,
 }
 
-/// All three engines' measurements for one application.
+/// Both engines' measurements for one application.
 #[derive(Debug, Clone)]
 pub struct AppWallclock {
     /// Application name (e.g. `"matmul"`).
     pub app: String,
-    /// Stack-engine measurement (reference, bottom rung).
+    /// Stack-engine measurement (the reference).
     pub stack: EngineMeasure,
-    /// Register-engine measurement (middle rung).
-    pub register: EngineMeasure,
-    /// Native-engine measurement (top rung, process default).
+    /// Native-engine measurement (the process default).
     pub native: EngineMeasure,
 }
 
 impl AppWallclock {
-    /// Wall-clock speedup of the register engine over the stack engine.
-    pub fn register_over_stack(&self) -> f64 {
-        self.stack.wall_ns as f64 / self.register.wall_ns.max(1) as f64
-    }
-
-    /// Wall-clock speedup of the native engine over the register engine.
-    pub fn native_over_register(&self) -> f64 {
-        self.register.wall_ns as f64 / self.native.wall_ns.max(1) as f64
-    }
-
     /// Wall-clock speedup of the native engine over the stack engine.
     pub fn native_over_stack(&self) -> f64 {
         self.stack.wall_ns as f64 / self.native.wall_ns.max(1) as f64
     }
 
-    fn measures(&self) -> [&EngineMeasure; 3] {
-        [&self.stack, &self.register, &self.native]
-    }
-
-    /// True when all three engines printed identical output.
+    /// True when both engines printed identical output.
     pub fn outputs_match(&self) -> bool {
-        self.measures()
-            .iter()
-            .all(|m| m.output == self.stack.output)
+        self.native.output == self.stack.output
     }
 
-    /// True when all three engines agree on every virtual-clock figure
+    /// True when both engines agree on every virtual-clock figure
     /// and on the retired op counts. Op counts are exact integers and
     /// must match exactly; the per-segment ns totals are sums of
     /// identical per-event floats whose summation *order* follows
@@ -105,15 +87,13 @@ impl AppWallclock {
         fn close(a: f64, b: f64) -> bool {
             a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
         }
-        let s = &self.stack;
-        self.measures().iter().all(|m| {
-            close(s.virtual_ns.0, m.virtual_ns.0)
-                && close(s.virtual_ns.1, m.virtual_ns.1)
-                && close(s.virtual_ns.2, m.virtual_ns.2)
-                && close(s.virtual_ns.3, m.virtual_ns.3)
-                && s.ops == m.ops
-                && s.vm_ops == m.vm_ops
-        })
+        let (s, n) = (&self.stack, &self.native);
+        close(s.virtual_ns.0, n.virtual_ns.0)
+            && close(s.virtual_ns.1, n.virtual_ns.1)
+            && close(s.virtual_ns.2, n.virtual_ns.2)
+            && close(s.virtual_ns.3, n.virtual_ns.3)
+            && s.ops == n.ops
+            && s.vm_ops == n.vm_ops
     }
 
     fn to_json(&self) -> String {
@@ -132,17 +112,13 @@ impl AppWallclock {
         };
         format!(
             "{{\"app\":\"{}\",\"ops\":{},\
-             \"engines\":{{\"stack\":{},\"register\":{},\"native\":{}}},\
-             \"register_over_stack\":{:.4},\"native_over_register\":{:.4},\
+             \"engines\":{{\"stack\":{},\"native\":{}}},\
              \"native_over_stack\":{:.4},\
              \"outputs_match\":{},\"virtual_clock_match\":{}}}",
             trace::escape_json(&self.app),
             self.stack.ops,
             eng(&self.stack),
-            eng(&self.register),
             eng(&self.native),
-            self.register_over_stack(),
-            self.native_over_register(),
             self.native_over_stack(),
             self.outputs_match(),
             self.virtual_clock_match()
@@ -150,7 +126,7 @@ impl AppWallclock {
     }
 }
 
-/// The full wall-clock report: all five applications, all three engines.
+/// The full wall-clock report: all five applications, both engines.
 #[derive(Debug, Clone)]
 pub struct WallclockReport {
     /// Per-application results, in paper figure order.
@@ -175,16 +151,6 @@ fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
 }
 
 impl WallclockReport {
-    /// Geometric mean of the per-app register-over-stack speedups.
-    pub fn geomean_register_over_stack(&self) -> f64 {
-        geomean(self.apps.iter().map(AppWallclock::register_over_stack))
-    }
-
-    /// Geometric mean of the per-app native-over-register speedups.
-    pub fn geomean_native_over_register(&self) -> f64 {
-        geomean(self.apps.iter().map(AppWallclock::native_over_register))
-    }
-
     /// Geometric mean of the per-app native-over-stack speedups.
     pub fn geomean_native_over_stack(&self) -> f64 {
         geomean(self.apps.iter().map(AppWallclock::native_over_stack))
@@ -201,13 +167,10 @@ impl WallclockReport {
     pub fn to_json(&self) -> String {
         let apps: Vec<String> = self.apps.iter().map(AppWallclock::to_json).collect();
         format!(
-            "{{\"schema\":\"bench-wallclock-v2\",\"sizes\":\"{}\",\"repeats\":{},\
-             \"geomean_register_over_stack\":{:.4},\"geomean_native_over_register\":{:.4},\
+            "{{\"schema\":\"bench-wallclock-v3\",\"sizes\":\"{}\",\"repeats\":{},\
              \"geomean_native_over_stack\":{:.4},\"all_consistent\":{},\"apps\":[{}]}}",
             trace::escape_json(&self.sizes_label),
             self.repeats,
-            self.geomean_register_over_stack(),
-            self.geomean_native_over_register(),
             self.geomean_native_over_stack(),
             self.all_consistent(),
             apps.join(",")
@@ -222,18 +185,15 @@ impl WallclockReport {
             self.sizes_label, self.repeats
         ));
         out.push_str(&format!(
-            "{:<12} {:>11} {:>11} {:>11} {:>9} {:>9} {:>9}  consistency\n",
-            "app", "stack ms", "reg ms", "native ms", "reg/stk", "nat/reg", "nat/stk"
+            "{:<12} {:>11} {:>11} {:>9}  consistency\n",
+            "app", "stack ms", "native ms", "nat/stk"
         ));
         for a in &self.apps {
             out.push_str(&format!(
-                "{:<12} {:>11.3} {:>11.3} {:>11.3} {:>8.2}x {:>8.2}x {:>8.2}x  {}\n",
+                "{:<12} {:>11.3} {:>11.3} {:>8.2}x  {}\n",
                 a.app,
                 a.stack.wall_ns as f64 / 1e6,
-                a.register.wall_ns as f64 / 1e6,
                 a.native.wall_ns as f64 / 1e6,
-                a.register_over_stack(),
-                a.native_over_register(),
                 a.native_over_stack(),
                 if a.outputs_match() && a.virtual_clock_match() {
                     "ok"
@@ -243,9 +203,7 @@ impl WallclockReport {
             ));
         }
         out.push_str(&format!(
-            "geomean: register/stack {:.2}x, native/register {:.2}x, native/stack {:.2}x\n",
-            self.geomean_register_over_stack(),
-            self.geomean_native_over_register(),
+            "geomean: native/stack {:.2}x\n",
             self.geomean_native_over_stack()
         ));
         out
@@ -348,7 +306,7 @@ fn app_sources(sizes: &Sizes) -> Vec<(&'static str, String)> {
 }
 
 /// Run the full wall-clock comparison: every app, stack engine first,
-/// then register, then native, `repeats` runs each. Restores the process
+/// then native, `repeats` runs each. Restores the process
 /// default engine (native) before returning, on success and on error
 /// alike.
 pub fn run_wallclock(
@@ -372,12 +330,10 @@ fn run_wallclock_inner(
             ensemble_analysis::compile_source(&src, &ensemble_analysis::Options::default())
                 .map_err(|e| format!("{app}: {e}"))?;
         let stack = measure_engine(app, &module, Engine::Stack, repeats)?;
-        let register = measure_engine(app, &module, Engine::Register, repeats)?;
         let native = measure_engine(app, &module, Engine::Native, repeats)?;
         apps.push(AppWallclock {
             app: app.to_string(),
             stack,
-            register,
             native,
         });
     }
@@ -407,28 +363,24 @@ mod tests {
         let report = run_wallclock(&sizes, "tiny", 1).unwrap();
         assert_eq!(report.apps.len(), 5);
         for a in &report.apps {
-            for m in [&a.register, &a.native] {
-                assert_eq!(a.stack.output, m.output, "{} {}: output", a.app, m.engine);
-                assert_eq!(a.stack.ops, m.ops, "{} {}: kernel ops", a.app, m.engine);
-                assert_eq!(a.stack.vm_ops, m.vm_ops, "{} {}: vm ops", a.app, m.engine);
-            }
+            assert_eq!(a.stack.output, a.native.output, "{}: output", a.app);
+            assert_eq!(a.stack.ops, a.native.ops, "{}: kernel ops", a.app);
+            assert_eq!(a.stack.vm_ops, a.native.vm_ops, "{}: vm ops", a.app);
             assert!(
                 a.virtual_clock_match(),
-                "{}: clock {:?} vs {:?} vs {:?}",
+                "{}: clock {:?} vs {:?}",
                 a.app,
                 a.stack.virtual_ns,
-                a.register.virtual_ns,
                 a.native.virtual_ns
             );
             assert!(a.stack.ops > 0, "{}: no kernel ops recorded", a.app);
             // The trace tag records what actually ran, not what was asked.
             assert_eq!(a.stack.ran, vec!["stack"], "{}: stack ran", a.app);
-            assert_eq!(a.register.ran, vec!["register"], "{}: register ran", a.app);
             assert_eq!(a.native.ran, vec!["native"], "{}: native ran", a.app);
         }
         assert!(report.all_consistent());
         let json = report.to_json();
-        assert!(json.contains("\"schema\":\"bench-wallclock-v2\""));
+        assert!(json.contains("\"schema\":\"bench-wallclock-v3\""));
         assert!(json.contains("\"app\":\"docrank\""));
         assert!(json.contains("\"ran\":[\"native\"]"));
         trace::json::validate(&json).unwrap();

@@ -1,44 +1,35 @@
 //! Execution-engine selection for kernel dispatches.
 //!
-//! Every dispatch runs on one rung of a three-rung engine ladder:
+//! Every dispatch runs on one of two engines, in the pocl shape of one
+//! fast work-group path plus one portable reference path:
 //!
 //! * [`Engine::Native`] — the work-group native engine
-//!   ([`crate::minicl::native`]): the validated register IR lowered once
-//!   per kernel to a direct-threaded handler chain with device functions
-//!   inlined, memory accesses pre-resolved per dispatch, and the work-item
-//!   loop hoisted around barrier-free code. This is the default.
-//! * [`Engine::Register`] — the register-IR engine
-//!   ([`crate::minicl::regir`]): stack bytecode lowered once per kernel to
-//!   typed register code with fused compare-branches and block-level op
-//!   accounting. Also the automatic fallback whenever the native lowering
-//!   declines a kernel (recursive device functions, frame shapes the
-//!   inliner cannot flatten).
+//!   ([`crate::minicl::native`]): the stack bytecode is lowered once per
+//!   kernel to validated register IR ([`crate::minicl::regir`]), which is
+//!   lowered again to a direct-threaded handler chain with device
+//!   functions inlined, memory accesses pre-resolved per dispatch, and the
+//!   work-item loop hoisted around barrier-free code. This is the default.
 //! * [`Engine::Stack`] — the reference stack interpreter
-//!   ([`crate::minicl::interp`]). The bottom of the ladder: the fallback
-//!   whenever the register lowering declines a kernel
-//!   (depth-inconsistent hand-built bytecode, ambiguous device-function
+//!   ([`crate::minicl::interp`]). The automatic fallback whenever either
+//!   lowering declines a kernel (recursive device functions,
+//!   depth-inconsistent hand-built bytecode, ambiguous device-function
 //!   returns).
 //!
-//! All three engines are deterministic and produce byte-identical buffers,
+//! Both engines are deterministic and produce byte-identical buffers,
 //! identical `group_ops` and identical traps — the engine choice changes
 //! *host wall-clock* only, never virtual time. The process-wide default can
-//! be overridden per kernel via [`crate::Kernel::set_engine`], process-wide
-//! via [`set_default_engine`], or from outside via the `OCLSIM_ENGINE`
-//! environment variable (`native` / `register` / `stack`), which sets the
-//! initial default before any dispatch runs — handy for A/B-debugging a
-//! binary without recompiling. The wall-clock benchmark harness uses
-//! [`set_default_engine`] to time all three rungs.
+//! be overridden per kernel via [`crate::Kernel::set_engine`] or
+//! process-wide via [`set_default_engine`]; the wall-clock benchmark
+//! harnesses use the latter to time both engines.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which execution engine runs a kernel dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Reference stack-bytecode interpreter (bottom of the ladder).
+    /// Reference stack-bytecode interpreter (the fallback).
     Stack,
-    /// Register-IR engine compiled from the stack bytecode.
-    Register,
-    /// Work-group native engine compiled from the register IR.
+    /// Work-group native engine compiled via the register IR.
     Native,
 }
 
@@ -47,71 +38,29 @@ impl Engine {
     pub fn label(self) -> &'static str {
         match self {
             Engine::Stack => "stack",
-            Engine::Register => "register",
             Engine::Native => "native",
         }
     }
 }
 
-/// Encoding for [`DEFAULT_ENGINE`]: 0 = native, 1 = stack, 2 = register.
-/// 255 marks "not initialised yet" — the first read resolves the
-/// `OCLSIM_ENGINE` environment override exactly once.
-const ENC_NATIVE: u8 = 0;
-const ENC_STACK: u8 = 1;
-const ENC_REGISTER: u8 = 2;
-const ENC_UNSET: u8 = 255;
-
-/// Process-wide default engine (see the encoding constants above).
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(ENC_UNSET);
-
-fn encode(engine: Engine) -> u8 {
-    match engine {
-        Engine::Native => ENC_NATIVE,
-        Engine::Stack => ENC_STACK,
-        Engine::Register => ENC_REGISTER,
-    }
-}
-
-/// Resolve the initial default: the `OCLSIM_ENGINE` environment variable
-/// when set to a known label, the native engine otherwise.
-fn initial_default() -> u8 {
-    match std::env::var("OCLSIM_ENGINE").as_deref() {
-        Ok("stack") => ENC_STACK,
-        Ok("register") => ENC_REGISTER,
-        _ => ENC_NATIVE,
-    }
-}
+/// Process-wide default: `true` selects the stack engine, `false` native.
+static DEFAULT_IS_STACK: AtomicBool = AtomicBool::new(false);
 
 /// The process-wide default engine for new dispatches (native unless
 /// changed). Kernels without a per-kernel override use this.
 pub fn default_engine() -> Engine {
-    let mut v = DEFAULT_ENGINE.load(Ordering::Relaxed);
-    if v == ENC_UNSET {
-        v = initial_default();
-        // A concurrent set_default_engine wins: only replace UNSET.
-        v = match DEFAULT_ENGINE.compare_exchange(
-            ENC_UNSET,
-            v,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => v,
-            Err(current) => current,
-        };
-    }
-    match v {
-        ENC_STACK => Engine::Stack,
-        ENC_REGISTER => Engine::Register,
-        _ => Engine::Native,
+    if DEFAULT_IS_STACK.load(Ordering::Relaxed) {
+        Engine::Stack
+    } else {
+        Engine::Native
     }
 }
 
 /// Set the process-wide default engine. Affects subsequent dispatches of
 /// every kernel without a per-kernel override; used by the wall-clock
-/// benchmark harness to time all three engines on identical workloads.
-/// Overrides any `OCLSIM_ENGINE` environment setting.
+/// benchmark harnesses to time both engines on identical workloads.
 pub fn set_default_engine(engine: Engine) {
-    DEFAULT_ENGINE.store(encode(engine), Ordering::Relaxed);
+    DEFAULT_IS_STACK.store(engine == Engine::Stack, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -121,7 +70,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(Engine::Stack.label(), "stack");
-        assert_eq!(Engine::Register.label(), "register");
         assert_eq!(Engine::Native.label(), "native");
     }
 
@@ -130,8 +78,6 @@ mod tests {
         let orig = default_engine();
         set_default_engine(Engine::Stack);
         assert_eq!(default_engine(), Engine::Stack);
-        set_default_engine(Engine::Register);
-        assert_eq!(default_engine(), Engine::Register);
         set_default_engine(Engine::Native);
         assert_eq!(default_engine(), Engine::Native);
         set_default_engine(orig);

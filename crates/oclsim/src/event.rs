@@ -137,7 +137,7 @@ impl Event {
     }
 
     /// Label of the engine that executed the dispatch (`"stack"` /
-    /// `"register"` / `"native"`), or `None` for non-kernel commands.
+    /// `"native"`), or `None` for non-kernel commands.
     pub fn engine(&self) -> Option<&'static str> {
         self.inner.engine
     }

@@ -82,7 +82,7 @@ pub struct NdStats {
 
 /// Abort threshold: a single work-item retiring this many ops is assumed to
 /// be stuck in an infinite loop (no paper kernel comes within 10⁴× of it).
-/// Shared with the register engine so both trap identically.
+/// Shared with the native engine so both trap identically.
 pub(super) const MAX_ITEM_OPS: u64 = 2_000_000_000;
 
 struct Frame {
@@ -228,7 +228,7 @@ pub(super) fn local_region_sizes(kernel: &KernelInfo, args: &[RtArg]) -> Result<
 }
 
 /// The dispatch-invariant initial locals frame: parameters bound, every
-/// other slot `I(0)`. Shared by both execution engines (the register
+/// other slot `I(0)`. Shared by both execution engines (the native
 /// engine converts each [`Val`] to its raw register form).
 pub(super) fn locals_template(kernel: &KernelInfo, args: &[RtArg]) -> Vec<Val> {
     let mut locals = vec![Val::I(0); kernel.nlocals as usize];
@@ -298,7 +298,7 @@ fn run_group_fast(
                     ctx.group_id[2] * lz + iz,
                 ];
                 item.ops = 0;
-                match step_until_stop(&mut item, ctx)? {
+                match run_until_stop(&mut item, ctx)? {
                     StopReason::Done => {}
                     StopReason::Barrier => {
                         return Err(Trap {
@@ -356,7 +356,7 @@ fn run_group_lockstep(
                 continue;
             }
             running += 1;
-            match step_until_stop(item, ctx)? {
+            match run_until_stop(item, ctx)? {
                 StopReason::Done => item.done = true,
                 StopReason::Barrier => at_barrier += 1,
             }
@@ -450,7 +450,7 @@ macro_rules! pop_ptr {
     };
 }
 
-fn step_until_stop(item: &mut Item, ctx: &mut GroupCtx<'_>) -> Result<StopReason, Trap> {
+fn run_until_stop(item: &mut Item, ctx: &mut GroupCtx<'_>) -> Result<StopReason, Trap> {
     loop {
         let op = &ctx.code[item.ip];
         item.ops += op.cost();

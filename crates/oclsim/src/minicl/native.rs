@@ -1,7 +1,7 @@
 //! Work-group native engine: direct-threaded execution of the register IR.
 //!
-//! [`compile_native`] lowers a *validated* [`RegProgram`] one rung further,
-//! from interpreted register code to a pre-resolved handler chain that is
+//! [`compile_native`] lowers a *validated* [`RegProgram`] (the output of
+//! [`super::regir::compile_kernel`]) to a pre-resolved handler chain that is
 //! dispatched with one indirect call per (possibly fused) instruction:
 //!
 //! * **Device-function inlining.** Every `Call` site is expanded in place
@@ -12,7 +12,7 @@
 //!   compile-time window assignment: no frame pushes, no frame pops, no
 //!   return-ip bookkeeping at run time. Recursive or uncompiled device
 //!   functions make the lowering decline and the dispatcher falls back to
-//!   the register engine.
+//!   the stack engine.
 //! * **Pre-decoded handlers.** Each instruction becomes an `NInstr`: a
 //!   handler function pointer plus absolute register indices — no operand
 //!   decoding, no `match` on the opcode, no frame-base addition in the hot
@@ -37,22 +37,22 @@
 //!   work-item straight through one reused register arena (pocl's
 //!   work-group function transformation, specialised to the no-barrier
 //!   case): per-item set-up is one `memcpy` of the locals/stack region and
-//!   a `fill(0)` of private memory. Kernels with barriers run the same
-//!   lockstep sweep as the register engine, resuming each item at its
-//!   saved instruction pointer.
+//!   a `fill(0)` of private memory. Kernels with barriers run a lockstep
+//!   sweep over the group's items, resuming each item at its saved
+//!   instruction pointer.
 //!
-//! The engine is observationally identical to the stack and register
-//! engines: byte-identical buffers, identical `group_ops` (the `Ops`
-//! block-entry charges are kept as-is, fused but never re-associated),
-//! and identical trap messages/global-ids in the same order. The
-//! differential triangle in `tests/engine_diff.rs` pins all three engines
-//! together on every generated app kernel and the proptest corpus.
+//! The engine is observationally identical to the reference stack engine:
+//! byte-identical buffers, identical `group_ops` (the `Ops` block-entry
+//! charges are kept as-is, fused but never re-associated), and identical
+//! trap messages/global-ids in the same order. The differential suite in
+//! `tests/engine_diff.rs` pins both engines together on every generated
+//! app kernel and the proptest corpus.
 
 use super::ast::Space;
 use super::bytecode::{Builtin, Cmp, ElemTy, KernelInfo};
 use super::interp::{
     checked_offset, local_region_sizes, locals_template, oob, MemPool, NdStats, PtrV, RtArg, Trap,
-    Val, MAX_ITEM_OPS,
+    MAX_ITEM_OPS,
 };
 use super::regir::{read_reg, write_reg, RFunc, ROp, RVal, RegProgram};
 use std::collections::HashMap;
@@ -109,7 +109,7 @@ impl std::fmt::Debug for NInstr {
 /// Where a pre-resolved memory access lands. Resolved once per dispatch
 /// from the (never-written) pointer register's template value — including
 /// the *failure* cases, which must still trap at first execution with the
-/// exact message the register engine produces, not at resolve time.
+/// exact message the stack engine produces, not at resolve time.
 #[derive(Debug, Clone, Copy)]
 struct Site {
     kind: SiteKind,
@@ -152,14 +152,14 @@ struct NState<'a> {
 ///
 /// Produced by [`compile_native`] from an already-validated
 /// [`RegProgram`], executed by [`run_ndrange`]. Observationally identical
-/// to the register engine (buffers, `group_ops`, traps).
+/// to the stack engine (buffers, `group_ops`, traps).
 ///
 /// ```
 /// use oclsim::minicl::{self, native, regir};
 /// use oclsim::minicl::interp::{MemPool, RtArg};
 ///
-/// // Lower a tiny kernel all the way down the ladder: source -> stack
-/// // bytecode -> register IR -> native, then dispatch over 4 items.
+/// // Lower a tiny kernel all the way: source -> stack bytecode ->
+/// // register IR -> native, then dispatch over 4 items.
 /// let unit = minicl::parse("__kernel void dbl(__global float* a) {
 ///     int i = get_global_id(0);
 ///     a[i] = a[i] * 2.0f;
@@ -246,7 +246,7 @@ macro_rules! sw {
 // charge in `i.t` (their jump-target field is otherwise unused), branch
 // handlers carry it in `i.imm`. The charge is applied before the
 // instruction's own effects, so a budget trap fires at exactly the same
-// program point where the register engine charges the block.
+// program point as the register IR's block-entry charge.
 macro_rules! chgt {
     ($st:expr, $i:expr) => {
         if $i.t != 0 {
@@ -383,7 +383,7 @@ fn store_site(st: &mut NState, site: usize, idx: i64, ty: ElemTy, v: RVal) -> Re
 
 /// Dynamic load: decode the pointer register at run time (only used when
 /// the pointer register is written somewhere, e.g. a pointer passed into
-/// an inlined device function). Mirrors the register engine's `load`.
+/// an inlined device function). Mirrors the stack engine's checks.
 fn dyn_load(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy) -> Result<RVal, u32> {
     let size = ty.byte_size();
     let byte = match checked_offset(st.gid, p.base, idx, size) {
@@ -420,7 +420,7 @@ fn dyn_load(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy) -> Result<RVal, u32>
     }
 }
 
-/// Dynamic store; mirrors the register engine's `store`.
+/// Dynamic store; mirrors the stack engine's checks.
 fn dyn_store(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy, v: RVal) -> Result<(), u32> {
     let size = ty.byte_size();
     let byte = match checked_offset(st.gid, p.base, idx, size) {
@@ -1390,8 +1390,8 @@ enum RetCtx {
     /// Returns halt the item.
     Main,
     /// Returns jump past the inlined body; `RetV` first moves the value
-    /// into the caller's `args_at` slot (the same absolute register the
-    /// register engine's frame machinery writes).
+    /// into the caller's `args_at` slot (the absolute register the
+    /// register IR's call convention names).
     Inline { dst: u16 },
 }
 
@@ -1608,8 +1608,8 @@ impl Flattener<'_> {
                     }
                 },
                 ROp::RetV { src } => match ret {
-                    // A top-level `RetV` discards the value, like the
-                    // register engine's frameless return.
+                    // A top-level `RetV` discards the value: a kernel
+                    // returns nothing.
                     RetCtx::Main => self.out.push(FOp::Done),
                     RetCtx::Inline { dst } => {
                         self.out.push(FOp::R(ROp::Mov { dst, src: src + w }));
@@ -1901,8 +1901,8 @@ impl Lower<'_> {
                         Builtin::GetGlobalSize => (h_gsz_c, h_gsz_d, 1),
                         Builtin::GetLocalSize => (h_lsz_c, h_lsz_d, 1),
                         Builtin::GetNumGroups => (h_ngr_c, h_ngr_d, 1),
-                        // The register engine evaluates every other
-                        // builtin in `Id` position to 0 for any dimension.
+                        // Every other builtin in `Id` position evaluates
+                        // to 0 for any dimension.
                         _ => {
                             return Some(NInstr {
                                 a: dst,
@@ -2326,7 +2326,7 @@ fn ibin(op: &FOp) -> Option<(u8, u16, u16, u16)> {
 
 /// Lower a validated register program to the native engine.
 ///
-/// Returns `None` — and the dispatcher falls back to the register engine —
+/// Returns `None` — and the dispatcher falls back to the stack engine —
 /// for programs the inliner cannot flatten: recursive or uncompiled device
 /// functions, pathological inline depth or code growth, or a register file
 /// larger than the 16-bit operand encoding. Everything the register
@@ -2582,15 +2582,6 @@ fn resolve_site(p: PtrV, nbufs: usize, read_only: &[bool], nregions: usize) -> S
     }
 }
 
-fn rval_of(v: Val) -> RVal {
-    match v {
-        Val::I(x) => RVal::from_i(x),
-        Val::F(x) => RVal::from_f(x),
-        Val::F4(x) => RVal::from_f4(x),
-        Val::Ptr(p) => RVal::from_ptr(p),
-    }
-}
-
 /// Per-dispatch context shared by every work item of the ND-range.
 struct NCtx<'a> {
     bufs: &'a mut Vec<Vec<u8>>,
@@ -2781,9 +2772,9 @@ fn run_group_lockstep(
 }
 
 /// Execute a full ND-range on the native engine. Same contract, traps and
-/// statistics as [`super::regir::run_ndrange`] and
-/// [`super::interp::run_ndrange`]: byte-identical buffers, identical
-/// `group_ops` (virtual clock) and identical trap messages/global-ids.
+/// statistics as [`super::interp::run_ndrange`]: byte-identical buffers,
+/// identical `group_ops` (virtual clock) and identical trap
+/// messages/global-ids.
 /// See [`NativeProgram`] for a lower-and-dispatch example.
 pub fn run_ndrange(
     prog: &NativeProgram,
@@ -2826,7 +2817,7 @@ pub fn run_ndrange_window(
     // the static tail (main constant pool + every inline window).
     let mut template: Vec<RVal> = locals_template(kernel, args)
         .into_iter()
-        .map(rval_of)
+        .map(RVal::from_val)
         .collect();
     template.resize(prog.main_const_base as usize, RVal::default());
     template.extend_from_slice(&prog.template_static);
@@ -2835,8 +2826,8 @@ pub fn run_ndrange_window(
     let bufs = &mut pool.bufs;
     let read_only = pool.read_only.as_slice();
     let local_regions: Vec<Vec<u8>> = region_bytes.iter().map(|&b| vec![0u8; b]).collect();
-    // Pre-resolve every stable memory site from the same template bits the
-    // register engine would decode at run time.
+    // Pre-resolve every stable memory site from the template bits a
+    // dynamic access would decode at run time.
     let sites: Vec<Site> = prog
         .site_specs
         .iter()
@@ -2901,15 +2892,15 @@ pub fn run_ndrange_window(
 mod tests {
     use super::*;
     use crate::minicl::codegen::compile;
-    use crate::minicl::interp;
+    use crate::minicl::interp::{self, Val};
     use crate::minicl::parser::parse;
     use crate::minicl::regir;
 
     type EngineRun = Result<(NdStats, Vec<Vec<u8>>), Trap>;
 
-    /// Run `kernel` from `src` on all three engines with identical pools
-    /// and assert identical outcomes pairwise.
-    fn triangle(
+    /// Run `kernel` from `src` on the stack and native engines with
+    /// identical pools and assert identical outcomes.
+    fn agree(
         src: &str,
         kernel: &str,
         args: &[RtArg],
@@ -2923,39 +2914,30 @@ mod tests {
         let reg = regir::compile_kernel(&unit, &info).expect("register compile");
         let nat = compile_native(&reg, &info).expect("native compile");
 
-        let run = |engine: u8| -> EngineRun {
+        let run = |native: bool| -> EngineRun {
             let mut pool = MemPool {
                 bufs: pool_init.0.clone(),
                 read_only: pool_init.1.clone(),
             };
-            match engine {
-                0 => interp::run_ndrange(&unit, &info, args, &mut pool, global, local)
-                    .map(|stats| (stats, pool.bufs)),
-                1 => regir::run_ndrange(&reg, &info, args, &mut pool, global, local)
-                    .map(|stats| (stats, pool.bufs)),
-                _ => run_ndrange(&nat, &info, args, &mut pool, global, local)
-                    .map(|stats| (stats, pool.bufs)),
+            if native {
+                run_ndrange(&nat, &info, args, &mut pool, global, local)
+                    .map(|stats| (stats, pool.bufs))
+            } else {
+                interp::run_ndrange(&unit, &info, args, &mut pool, global, local)
+                    .map(|stats| (stats, pool.bufs))
             }
         };
-        let stack = run(0);
-        let register = run(1);
-        let native = run(2);
-        for (label, other) in [("register", &register), ("native", &native)] {
-            match (&stack, other) {
-                (Ok((s_stats, s_bufs)), Ok((o_stats, o_bufs))) => {
-                    assert_eq!(s_bufs, o_bufs, "{label}: buffer contents differ");
-                    assert_eq!(
-                        s_stats.group_ops, o_stats.group_ops,
-                        "{label}: group_ops differ"
-                    );
-                    assert_eq!(s_stats.items, o_stats.items, "{label}: item counts differ");
-                }
-                (Err(s), Err(o)) => {
-                    assert_eq!(s.message, o.message, "{label}: trap messages differ");
-                    assert_eq!(s.global_id, o.global_id, "{label}: trap global ids differ");
-                }
-                (s, o) => panic!("{label} disagrees on success: stack={s:?} other={o:?}"),
+        match (run(false), run(true)) {
+            (Ok((s_stats, s_bufs)), Ok((n_stats, n_bufs))) => {
+                assert_eq!(s_bufs, n_bufs, "buffer contents differ");
+                assert_eq!(s_stats.group_ops, n_stats.group_ops, "group_ops differ");
+                assert_eq!(s_stats.items, n_stats.items, "item counts differ");
             }
+            (Err(s), Err(n)) => {
+                assert_eq!(s.message, n.message, "trap messages differ");
+                assert_eq!(s.global_id, n.global_id, "trap global ids differ");
+            }
+            (s, n) => panic!("engines disagree on success: stack={s:?} native={n:?}"),
         }
     }
 
@@ -2964,8 +2946,8 @@ mod tests {
     }
 
     #[test]
-    fn square_kernel_triangle() {
-        triangle(
+    fn square_kernel_agrees() {
+        agree(
             r#"
             __kernel void square(__global float* in, __global float* out, const int n) {
                 int i = get_global_id(0);
@@ -2988,8 +2970,8 @@ mod tests {
     }
 
     #[test]
-    fn inner_product_loop_triangle() {
-        triangle(
+    fn inner_product_loop_agrees() {
+        agree(
             r#"
             __kernel void dotk(__global float* a, __global float* b, __global float* out, const int n) {
                 int i = get_global_id(0);
@@ -3021,9 +3003,9 @@ mod tests {
     }
 
     #[test]
-    fn barrier_reduction_triangle() {
+    fn barrier_reduction_agrees() {
         let data: Vec<f32> = (0..16).map(|i| (16 - i) as f32).collect();
-        triangle(
+        agree(
             r#"
             __kernel void rmin(__global float* in, __global float* out, __local float* s) {
                 int l = get_local_id(0);
@@ -3049,8 +3031,8 @@ mod tests {
     }
 
     #[test]
-    fn nested_device_functions_triangle() {
-        triangle(
+    fn nested_device_functions_agrees() {
+        agree(
             r#"
             float g(float x) { return x * 2.0f; }
             float f(float x) { return g(x) + 1.0f; }
@@ -3071,7 +3053,7 @@ mod tests {
     fn call_in_loop_reinitialises_window_locals() {
         // The callee's window locals must behave as freshly zeroed on
         // every activation, not inherit the previous iteration's values.
-        triangle(
+        agree(
             r#"
             float acc3(float x) {
                 float t = 0.0f;
@@ -3094,8 +3076,8 @@ mod tests {
     }
 
     #[test]
-    fn float4_and_private_memory_triangle() {
-        triangle(
+    fn float4_and_private_memory_agrees() {
+        agree(
             r#"
             __kernel void v(__global float4* a, __global float* out) {
                 float4 x = a[0];
@@ -3119,8 +3101,8 @@ mod tests {
     }
 
     #[test]
-    fn oob_trap_triangle() {
-        triangle(
+    fn oob_trap_agrees() {
+        agree(
             "__kernel void oob(__global float* a) { a[get_global_id(0) + 1000000] = 1.0f; }",
             "oob",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -3131,8 +3113,8 @@ mod tests {
     }
 
     #[test]
-    fn div_zero_trap_triangle() {
-        triangle(
+    fn div_zero_trap_agrees() {
+        agree(
             "__kernel void divz(__global int* a) { int z = (int)(get_global_id(0) * 0); a[0] = 1 / z; }",
             "divz",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -3143,8 +3125,8 @@ mod tests {
     }
 
     #[test]
-    fn readonly_store_trap_triangle() {
-        triangle(
+    fn readonly_store_trap_agrees() {
+        agree(
             "__kernel void w(__global float* a) { a[get_global_id(0)] = 2.0f; }",
             "w",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -3155,8 +3137,8 @@ mod tests {
     }
 
     #[test]
-    fn divergent_barrier_trap_triangle() {
-        triangle(
+    fn divergent_barrier_trap_agrees() {
+        agree(
             r#"
             __kernel void diverge(__global float* a) {
                 if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); }
@@ -3176,6 +3158,7 @@ mod tests {
 mod microbench {
     use super::*;
     use crate::minicl::codegen::compile;
+    use crate::minicl::interp::{self, Val};
     use crate::minicl::parser::parse;
     use crate::minicl::regir;
 
@@ -3208,19 +3191,19 @@ mod microbench {
         };
         let global = [n, n, 1];
         let local = [8, 8, 1];
-        let mut best_r = u128::MAX;
+        let mut best_s = u128::MAX;
         let mut best_n = u128::MAX;
         for _ in 0..5 {
             let mut pool = mk();
             let t = std::time::Instant::now();
-            regir::run_ndrange(&reg, &info, &args, &mut pool, global, local).unwrap();
-            best_r = best_r.min(t.elapsed().as_micros());
+            interp::run_ndrange(&unit, &info, &args, &mut pool, global, local).unwrap();
+            best_s = best_s.min(t.elapsed().as_micros());
             let mut pool = mk();
             let t = std::time::Instant::now();
             run_ndrange(&nat, &info, &args, &mut pool, global, local).unwrap();
             best_n = best_n.min(t.elapsed().as_micros());
         }
-        eprintln!("register {best_r}us native {best_n}us speedup {:.2}x", best_r as f64 / best_n as f64);
+        eprintln!("stack {best_s}us native {best_n}us speedup {:.2}x", best_s as f64 / best_n as f64);
     }
 
     #[test]
@@ -3258,18 +3241,18 @@ mod microbench {
         };
         let global = [n, 1, 1];
         let local = [group, 1, 1];
-        let mut best_r = u128::MAX;
+        let mut best_s = u128::MAX;
         let mut best_n = u128::MAX;
         for _ in 0..5 {
             let mut pool = mk();
             let t = std::time::Instant::now();
-            regir::run_ndrange(&reg, &info, &args, &mut pool, global, local).unwrap();
-            best_r = best_r.min(t.elapsed().as_micros());
+            interp::run_ndrange(&unit, &info, &args, &mut pool, global, local).unwrap();
+            best_s = best_s.min(t.elapsed().as_micros());
             let mut pool = mk();
             let t = std::time::Instant::now();
             run_ndrange(&nat, &info, &args, &mut pool, global, local).unwrap();
             best_n = best_n.min(t.elapsed().as_micros());
         }
-        eprintln!("register {best_r}us native {best_n}us speedup {:.2}x", best_r as f64 / best_n as f64);
+        eprintln!("stack {best_s}us native {best_n}us speedup {:.2}x", best_s as f64 / best_n as f64);
     }
 }

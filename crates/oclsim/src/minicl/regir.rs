@@ -1,7 +1,8 @@
-//! Register-IR execution engine for compiled mini OpenCL-C kernels.
+//! Register-IR lowering for compiled mini OpenCL-C kernels.
 //!
 //! [`compile_kernel`] lowers the stack bytecode of [`super::bytecode`] to a
-//! typed-by-construction register IR. The lowering tracks a *symbolic*
+//! typed-by-construction register IR, the input of the native work-group
+//! engine ([`super::native`]). The lowering tracks a *symbolic*
 //! operand stack per basic block: pushed constants and loads of locals are
 //! not copied anywhere — they are remembered as "this stack slot is literal
 //! `v`" / "this stack slot aliases local `r`" and folded straight into the
@@ -25,25 +26,22 @@
 //! The emitted program is checked by `validate` — every register operand
 //! in range, every jump target inside its function, every function ending
 //! in an unconditional terminator, every call shape consistent — and only a
-//! validated program is returned. That proof lets the inner interpreter
-//! loop use unchecked register/code accesses (see the SAFETY notes in
-//! `step_until_stop`).
+//! validated program is returned. That proof is what the native lowering
+//! builds its unchecked register accesses on.
 //!
 //! The lowering is *total* only for depth-consistent bytecode; anything else
 //! (a hand-built unit with mismatched stack depths at a join, a device
 //! function with both `ret;` and `return x;` paths) makes [`compile_kernel`]
 //! return `None` and the dispatcher falls back to the reference stack
-//! interpreter in [`super::interp`]. Both engines produce byte-identical
-//! buffer contents, identical `group_ops` (block-entry charging sums the
-//! same per-op costs the stack engine charges one at a time) and identical
-//! trap messages/global-ids — the differential suite pins them together.
+//! interpreter in [`super::interp`]. The native engine run on the lowered
+//! program produces byte-identical buffer contents, identical `group_ops`
+//! (block-entry charging sums the same per-op costs the stack engine
+//! charges one at a time) and identical trap messages/global-ids — the
+//! differential suite pins them together.
 
 use super::ast::Space;
 use super::bytecode::{Builtin, Cmp, CompiledUnit, ElemTy, FuncInfo, KernelInfo, Op};
-use super::interp::{
-    checked_offset, local_region_sizes, locals_template, oob, MemPool, NdStats, PtrV, RtArg, Trap,
-    Val, MAX_ITEM_OPS,
-};
+use super::interp::{PtrV, Val};
 use std::collections::{BTreeSet, HashMap};
 
 /// Frame-relative register index.
@@ -113,7 +111,7 @@ impl RVal {
             base: (w >> 32) as u32,
         }
     }
-    fn from_val(v: Val) -> Self {
+    pub(super) fn from_val(v: Val) -> Self {
         match v {
             Val::I(x) => RVal::from_i(x),
             Val::F(x) => RVal::from_f(x),
@@ -211,21 +209,19 @@ pub(super) struct RFunc {
     pub(super) end: u32,
 }
 
-/// A kernel lowered to register IR, ready to dispatch any number of times.
+/// A kernel lowered to register IR, the input of the native engine.
 ///
-/// Produced by [`compile_kernel`], executed by [`run_ndrange`], and lowered
-/// further by the native engine ([`super::native::compile_native`]). The
-/// program is *validated*: every register operand is inside its frame,
-/// every jump target inside its function, every function ends in an
-/// unconditional terminator — which is what licenses the unchecked
-/// interpreter loop (and the native lowering built on top of it).
+/// Produced by [`compile_kernel`] and lowered further by the native engine
+/// ([`super::native::compile_native`]; see [`super::native::NativeProgram`]
+/// for a dispatch example). The program is *validated*: every register
+/// operand is inside its frame, every jump target inside its function,
+/// every function ends in an unconditional terminator — which is what
+/// licenses the native lowering's unchecked register accesses.
 ///
 /// ```
 /// use oclsim::minicl::{self, regir};
-/// use oclsim::minicl::interp::{MemPool, RtArg};
 ///
-/// // Lower a tiny kernel end-to-end: source -> AST -> stack bytecode ->
-/// // register IR, then dispatch it over a 4-item range.
+/// // Lower a tiny kernel: source -> AST -> stack bytecode -> register IR.
 /// let unit = minicl::parse("__kernel void dbl(__global float* a) {
 ///     int i = get_global_id(0);
 ///     a[i] = a[i] * 2.0f;
@@ -234,18 +230,6 @@ pub(super) struct RFunc {
 /// let info = compiled.kernels.get("dbl").unwrap().clone();
 /// let prog = regir::compile_kernel(&compiled, &info).expect("lowerable");
 /// assert!(!prog.is_empty());
-///
-/// let mut pool = MemPool {
-///     bufs: vec![[1.0f32, 2.0, 3.0, 4.0].iter().flat_map(|v| v.to_le_bytes()).collect()],
-///     read_only: vec![false],
-/// };
-/// let stats = regir::run_ndrange(
-///     &prog, &info, &[RtArg::Buf { pool_slot: 0 }], &mut pool, [4, 1, 1], [2, 1, 1],
-/// ).unwrap();
-/// assert_eq!(stats.items, 4);
-/// let out: Vec<f32> = pool.bufs[0].chunks(4)
-///     .map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-/// assert_eq!(out, vec![2.0, 4.0, 6.0, 8.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RegProgram {
@@ -1395,323 +1379,8 @@ pub fn compile_kernel(unit: &CompiledUnit, kernel: &KernelInfo) -> Option<RegPro
 }
 
 // ---------------------------------------------------------------------------
-// Execution
+// Register memory access (shared with the native engine)
 // ---------------------------------------------------------------------------
-
-struct RFrame {
-    ret_ip: usize,
-    prev_base: usize,
-    prev_nregs: usize,
-    /// Absolute register receiving the callee's return value.
-    dst: usize,
-}
-
-struct RItem {
-    ip: usize,
-    base: usize,
-    nregs: usize,
-    regs: Vec<RVal>,
-    frames: Vec<RFrame>,
-    priv_mem: Vec<u8>,
-    gid: [usize; 3],
-    lid: [usize; 3],
-    ops: u64,
-    done: bool,
-}
-
-impl RItem {
-    fn new() -> Self {
-        RItem {
-            ip: 0,
-            base: 0,
-            nregs: 0,
-            regs: Vec::new(),
-            frames: Vec::new(),
-            priv_mem: Vec::new(),
-            gid: [0; 3],
-            lid: [0; 3],
-            ops: 0,
-            done: false,
-        }
-    }
-
-    /// (Re-)initialise for one work item. Afterwards
-    /// `regs.len() == prog.nregs == base + nregs` — the frame invariant the
-    /// unchecked interpreter relies on (calls only ever grow `regs`).
-    fn init(&mut self, prog: &RegProgram, kernel: &KernelInfo, template: &[RVal]) {
-        self.ip = prog.entry as usize;
-        self.base = 0;
-        self.nregs = prog.nregs as usize;
-        self.regs.clear();
-        self.regs.extend_from_slice(template);
-        self.frames.clear();
-        self.priv_mem.clear();
-        self.priv_mem.resize(kernel.priv_bytes, 0);
-        self.ops = 0;
-        self.done = false;
-    }
-}
-
-enum StopReason {
-    Done,
-    Barrier,
-}
-
-struct RCtx<'a> {
-    pool: &'a mut MemPool,
-    local_regions: Vec<Vec<u8>>,
-    group_id: [usize; 3],
-    global_size: [usize; 3],
-    local_size: [usize; 3],
-    num_groups: [usize; 3],
-}
-
-/// Execute a full ND-range on the register engine. Same contract, traps and
-/// statistics as [`super::interp::run_ndrange`]: byte-identical buffers,
-/// identical `group_ops` (virtual clock) and identical trap
-/// messages/global-ids. See [`RegProgram`] for a lower-and-dispatch
-/// example.
-pub fn run_ndrange(
-    prog: &RegProgram,
-    kernel: &KernelInfo,
-    args: &[RtArg],
-    pool: &mut MemPool,
-    global: [usize; 3],
-    local: [usize; 3],
-) -> Result<NdStats, Trap> {
-    let num_groups = [
-        global[0] / local[0].max(1),
-        global[1] / local[1].max(1),
-        global[2] / local[2].max(1),
-    ];
-    let window = [0..num_groups[0], 0..num_groups[1], 0..num_groups[2]];
-    run_ndrange_window(prog, kernel, args, pool, global, local, window)
-}
-
-/// Execute a *window* of group indices of a larger ND-range — the register
-/// engine's counterpart of [`super::interp::run_ndrange_window`]: ids and
-/// query functions report the full range, only `window`'s groups run.
-pub fn run_ndrange_window(
-    prog: &RegProgram,
-    kernel: &KernelInfo,
-    args: &[RtArg],
-    pool: &mut MemPool,
-    global: [usize; 3],
-    local: [usize; 3],
-    window: [std::ops::Range<usize>; 3],
-) -> Result<NdStats, Trap> {
-    let num_groups = [
-        global[0] / local[0].max(1),
-        global[1] / local[1].max(1),
-        global[2] / local[2].max(1),
-    ];
-    let region_bytes = local_region_sizes(kernel, args)?;
-    // Dispatch template: bound locals, zeroed canonical stack slots, then
-    // the kernel's constant pool. `len == prog.nregs` by construction.
-    let mut template: Vec<RVal> = locals_template(kernel, args)
-        .into_iter()
-        .map(RVal::from_val)
-        .collect();
-    template.resize(prog.const_base as usize, RVal::default());
-    template.extend_from_slice(&prog.consts);
-    debug_assert_eq!(template.len(), prog.nregs as usize);
-
-    let mut stats = NdStats::default();
-    let items_per_group = local[0] * local[1] * local[2];
-    let mut ctx = RCtx {
-        pool,
-        local_regions: region_bytes.iter().map(|&b| vec![0u8; b]).collect(),
-        group_id: [0; 3],
-        global_size: global,
-        local_size: local,
-        num_groups,
-    };
-
-    // Work-item arenas, reused across every group of the dispatch.
-    let mut item = RItem::new();
-    let mut items: Vec<RItem> = Vec::new();
-    let mut first_group = true;
-    for gz in window[2].clone() {
-        for gy in window[1].clone() {
-            for gx in window[0].clone() {
-                ctx.group_id = [gx, gy, gz];
-                if !first_group && !ctx.local_regions.is_empty() {
-                    for r in &mut ctx.local_regions {
-                        r.fill(0);
-                    }
-                }
-                first_group = false;
-                let ops = if kernel.has_barrier {
-                    run_group_lockstep(prog, kernel, &template, &mut ctx, items_per_group, &mut items)?
-                } else {
-                    run_group_fast(prog, kernel, &template, &mut ctx, &mut item)?
-                };
-                stats.group_ops.push(ops);
-                stats.items += items_per_group as u64;
-            }
-        }
-    }
-    Ok(stats)
-}
-
-fn item_gid(ctx: &RCtx<'_>, lid: [usize; 3]) -> [usize; 3] {
-    [
-        ctx.group_id[0] * ctx.local_size[0] + lid[0],
-        ctx.group_id[1] * ctx.local_size[1] + lid[1],
-        ctx.group_id[2] * ctx.local_size[2] + lid[2],
-    ]
-}
-
-fn run_group_fast(
-    prog: &RegProgram,
-    kernel: &KernelInfo,
-    template: &[RVal],
-    ctx: &mut RCtx<'_>,
-    item: &mut RItem,
-) -> Result<u64, Trap> {
-    let mut group_ops = 0u64;
-    let [lx, ly, lz] = ctx.local_size;
-    for iz in 0..lz {
-        for iy in 0..ly {
-            for ix in 0..lx {
-                item.init(prog, kernel, template);
-                item.lid = [ix, iy, iz];
-                item.gid = item_gid(ctx, item.lid);
-                match step_until_stop(item, ctx, prog)? {
-                    StopReason::Done => {}
-                    StopReason::Barrier => {
-                        return Err(Trap {
-                            message: "barrier reached in kernel compiled without barriers"
-                                .to_string(),
-                            global_id: item.gid,
-                        })
-                    }
-                }
-                group_ops += item.ops;
-            }
-        }
-    }
-    Ok(group_ops)
-}
-
-fn run_group_lockstep(
-    prog: &RegProgram,
-    kernel: &KernelInfo,
-    template: &[RVal],
-    ctx: &mut RCtx<'_>,
-    items_per_group: usize,
-    items: &mut Vec<RItem>,
-) -> Result<u64, Trap> {
-    let [lx, ly, lz] = ctx.local_size;
-    while items.len() < items_per_group {
-        items.push(RItem::new());
-    }
-    let items = &mut items[..items_per_group];
-    let mut at = 0usize;
-    for iz in 0..lz {
-        for iy in 0..ly {
-            for ix in 0..lx {
-                let item = &mut items[at];
-                at += 1;
-                item.init(prog, kernel, template);
-                item.lid = [ix, iy, iz];
-                item.gid = item_gid(ctx, item.lid);
-            }
-        }
-    }
-    loop {
-        let mut at_barrier = 0usize;
-        let mut running = 0usize;
-        for item in items.iter_mut() {
-            if item.done {
-                continue;
-            }
-            running += 1;
-            match step_until_stop(item, ctx, prog)? {
-                StopReason::Done => item.done = true,
-                StopReason::Barrier => at_barrier += 1,
-            }
-        }
-        if running == 0 {
-            break;
-        }
-        if at_barrier == 0 {
-            continue;
-        }
-        if at_barrier != running {
-            let culprit = items
-                .iter()
-                .find(|i| !i.done)
-                .map(|i| i.gid)
-                .unwrap_or([0; 3]);
-            return Err(Trap {
-                message: format!(
-                    "divergent barrier: {at_barrier} of {running} running items reached barrier"
-                ),
-                global_id: culprit,
-            });
-        }
-    }
-    Ok(items.iter().map(|i| i.ops).sum())
-}
-
-#[inline(always)]
-pub(super) fn cmp_i(cmp: Cmp, a: i64, b: i64) -> bool {
-    match cmp {
-        Cmp::Eq => a == b,
-        Cmp::Ne => a != b,
-        Cmp::Lt => a < b,
-        Cmp::Le => a <= b,
-        Cmp::Gt => a > b,
-        Cmp::Ge => a >= b,
-    }
-}
-
-#[inline(always)]
-pub(super) fn cmp_f(cmp: Cmp, a: f64, b: f64) -> bool {
-    match cmp {
-        Cmp::Eq => a == b,
-        Cmp::Ne => a != b,
-        Cmp::Lt => a < b,
-        Cmp::Le => a <= b,
-        Cmp::Gt => a > b,
-        Cmp::Ge => a >= b,
-    }
-}
-
-fn region_mut<'c>(
-    gid: [usize; 3],
-    ctx: &'c mut RCtx<'_>,
-    ptr: PtrV,
-) -> Result<(&'c mut [u8], bool), Trap> {
-    match ptr.space {
-        Space::Global | Space::Constant => {
-            let slot = ptr.slot as usize;
-            if slot >= ctx.pool.bufs.len() {
-                return Err(Trap {
-                    message: format!("pointer to unknown buffer slot {slot}"),
-                    global_id: gid,
-                });
-            }
-            let ro = ctx.pool.read_only[slot] || ptr.space == Space::Constant;
-            Ok((ctx.pool.bufs[slot].as_mut_slice(), ro))
-        }
-        Space::Local => {
-            let slot = ptr.slot as usize;
-            if slot >= ctx.local_regions.len() {
-                return Err(Trap {
-                    message: format!("pointer to unknown local region {slot}"),
-                    global_id: gid,
-                });
-            }
-            Ok((ctx.local_regions[slot].as_mut_slice(), false))
-        }
-        Space::Private => Err(Trap {
-            message: "private pointers are resolved by the caller".to_string(),
-            global_id: gid,
-        }),
-    }
-}
 
 #[inline(always)]
 pub(super) fn read_reg(bytes: &[u8], at: usize, ty: ElemTy) -> Option<RVal> {
@@ -1742,366 +1411,20 @@ pub(super) fn write_reg(bytes: &mut [u8], at: usize, ty: ElemTy, v: RVal) -> Opt
     Some(())
 }
 
-fn load(
-    item: &mut RItem,
-    ctx: &mut RCtx<'_>,
-    ptr: PtrV,
-    idx: i64,
-    ty: ElemTy,
-) -> Result<RVal, Trap> {
-    let size = ty.byte_size();
-    let gid = item.gid;
-    let byte = checked_offset(gid, ptr.base, idx, size)?;
-    if ptr.space == Space::Private {
-        let bytes = &item.priv_mem;
-        return read_reg(bytes, byte, ty).ok_or_else(|| oob(gid, byte, size, bytes.len()));
-    }
-    let (bytes, _) = region_mut(gid, ctx, ptr)?;
-    let len = bytes.len();
-    read_reg(bytes, byte, ty).ok_or_else(|| oob(gid, byte, size, len))
-}
-
-fn store(
-    item: &mut RItem,
-    ctx: &mut RCtx<'_>,
-    ptr: PtrV,
-    idx: i64,
-    ty: ElemTy,
-    v: RVal,
-) -> Result<(), Trap> {
-    let size = ty.byte_size();
-    let gid = item.gid;
-    let byte = checked_offset(gid, ptr.base, idx, size)?;
-    if ptr.space == Space::Private {
-        let len = item.priv_mem.len();
-        return write_reg(&mut item.priv_mem, byte, ty, v).ok_or_else(|| oob(gid, byte, size, len));
-    }
-    let (bytes, read_only) = region_mut(gid, ctx, ptr)?;
-    if read_only {
-        return Err(Trap {
-            message: "write through const/__constant pointer".to_string(),
-            global_id: gid,
-        });
-    }
-    let len = bytes.len();
-    write_reg(bytes, byte, ty, v).ok_or_else(|| oob(gid, byte, size, len))
-}
-
-fn step_until_stop(
-    item: &mut RItem,
-    ctx: &mut RCtx<'_>,
-    prog: &RegProgram,
-) -> Result<StopReason, Trap> {
-    // SAFETY argument for the unchecked accesses below (all of them):
-    //
-    // * Register reads/writes: `validate` proved every register operand of
-    //   every instruction is `< nregs` of the function it belongs to
-    //   (`args_at` of a 0-arg call may equal `nregs` but is never
-    //   dereferenced then), and the frame invariant
-    //   `item.regs.len() >= item.base + item.nregs` always holds:
-    //   `RItem::init` sets `len == prog.nregs` with `base == 0`; `Call`
-    //   grows `regs` to cover the callee frame *before* switching to it;
-    //   `Ret`/`RetV` only restore an older frame (and `regs` never shrinks).
-    // * Instruction fetch: `validate` proved every jump target lies inside
-    //   its function's range and every range ends in `Jmp`/`Ret`/`RetV`, so
-    //   sequential execution cannot run past a range and `item.ip` is
-    //   always a valid index into `prog.code` (a call site is never the
-    //   last instruction of a range, so its return ip is in range too).
-    macro_rules! rg {
-        ($x:expr) => {
-            // SAFETY: see the frame invariant above.
-            unsafe { *item.regs.get_unchecked(item.base + $x as usize) }
-        };
-    }
-    macro_rules! st {
-        ($dst:expr, $v:expr) => {{
-            let v = $v;
-            // SAFETY: see the frame invariant above.
-            unsafe { *item.regs.get_unchecked_mut(item.base + $dst as usize) = v };
-        }};
-    }
-    loop {
-        // SAFETY: `item.ip` is always in bounds, see above.
-        let op = unsafe { prog.code.get_unchecked(item.ip) };
-        item.ip += 1;
-        match *op {
-            ROp::Ops(n) => {
-                item.ops += n;
-                if item.ops > MAX_ITEM_OPS {
-                    return Err(Trap {
-                        message: "work-item exceeded the op budget (infinite loop?)".to_string(),
-                        global_id: item.gid,
-                    });
-                }
-            }
-            ROp::Mov { dst, src } => st!(dst, rg!(src)),
-            ROp::Swap { a, b } => item
-                .regs
-                .swap(item.base + a as usize, item.base + b as usize),
-            ROp::AddI { dst, a, b } => st!(dst, RVal::from_i(rg!(a).i().wrapping_add(rg!(b).i()))),
-            ROp::SubI { dst, a, b } => st!(dst, RVal::from_i(rg!(a).i().wrapping_sub(rg!(b).i()))),
-            ROp::MulI { dst, a, b } => st!(dst, RVal::from_i(rg!(a).i().wrapping_mul(rg!(b).i()))),
-            ROp::DivI { dst, a, b } => {
-                let (x, y) = (rg!(a).i(), rg!(b).i());
-                if y == 0 {
-                    return Err(Trap {
-                        message: "integer division by zero".to_string(),
-                        global_id: item.gid,
-                    });
-                }
-                st!(dst, RVal::from_i(x.wrapping_div(y)));
-            }
-            ROp::RemI { dst, a, b } => {
-                let (x, y) = (rg!(a).i(), rg!(b).i());
-                if y == 0 {
-                    return Err(Trap {
-                        message: "integer remainder by zero".to_string(),
-                        global_id: item.gid,
-                    });
-                }
-                st!(dst, RVal::from_i(x.wrapping_rem(y)));
-            }
-            ROp::Shl { dst, a, b } => {
-                st!(dst, RVal::from_i(rg!(a).i().wrapping_shl(rg!(b).i() as u32)))
-            }
-            ROp::Shr { dst, a, b } => {
-                st!(dst, RVal::from_i(rg!(a).i().wrapping_shr(rg!(b).i() as u32)))
-            }
-            ROp::BAnd { dst, a, b } => st!(dst, RVal::from_i(rg!(a).i() & rg!(b).i())),
-            ROp::BOr { dst, a, b } => st!(dst, RVal::from_i(rg!(a).i() | rg!(b).i())),
-            ROp::BXor { dst, a, b } => st!(dst, RVal::from_i(rg!(a).i() ^ rg!(b).i())),
-            ROp::NegI { dst, src } => st!(dst, RVal::from_i(rg!(src).i().wrapping_neg())),
-            ROp::BNot { dst, src } => st!(dst, RVal::from_i(!rg!(src).i())),
-            ROp::LNot { dst, src } => st!(dst, RVal::from_i((rg!(src).i() == 0) as i64)),
-            ROp::AddF { dst, a, b } => st!(dst, RVal::from_f(rg!(a).f() + rg!(b).f())),
-            ROp::SubF { dst, a, b } => st!(dst, RVal::from_f(rg!(a).f() - rg!(b).f())),
-            ROp::MulF { dst, a, b } => st!(dst, RVal::from_f(rg!(a).f() * rg!(b).f())),
-            ROp::DivF { dst, a, b } => st!(dst, RVal::from_f(rg!(a).f() / rg!(b).f())),
-            ROp::NegF { dst, src } => st!(dst, RVal::from_f(-rg!(src).f())),
-            ROp::I2F { dst, src } => st!(dst, RVal::from_f(rg!(src).i() as f64)),
-            ROp::F2I { dst, src } => {
-                let x = rg!(src).f();
-                st!(dst, RVal::from_i(if x.is_nan() { 0 } else { x as i64 }));
-            }
-            ROp::AddF4 { dst, a, b } => {
-                let (x, y) = (rg!(a).f4(), rg!(b).f4());
-                st!(dst, RVal::from_f4([x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]]));
-            }
-            ROp::SubF4 { dst, a, b } => {
-                let (x, y) = (rg!(a).f4(), rg!(b).f4());
-                st!(dst, RVal::from_f4([x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]]));
-            }
-            ROp::MulF4 { dst, a, b } => {
-                let (x, y) = (rg!(a).f4(), rg!(b).f4());
-                st!(dst, RVal::from_f4([x[0] * y[0], x[1] * y[1], x[2] * y[2], x[3] * y[3]]));
-            }
-            ROp::DivF4 { dst, a, b } => {
-                let (x, y) = (rg!(a).f4(), rg!(b).f4());
-                st!(dst, RVal::from_f4([x[0] / y[0], x[1] / y[1], x[2] / y[2], x[3] / y[3]]));
-            }
-            ROp::SplatF4 { dst, src } => {
-                let x = rg!(src).f() as f32;
-                st!(dst, RVal::from_f4([x; 4]));
-            }
-            ROp::MakeF4 { dst, src } => {
-                let v = [
-                    rg!(src[0]).f() as f32,
-                    rg!(src[1]).f() as f32,
-                    rg!(src[2]).f() as f32,
-                    rg!(src[3]).f() as f32,
-                ];
-                st!(dst, RVal::from_f4(v));
-            }
-            ROp::GetComp { dst, src, c } => {
-                st!(dst, RVal::from_f(rg!(src).f4()[c as usize] as f64))
-            }
-            ROp::SetComp { dst, vec, scl, c } => {
-                let mut v = rg!(vec).f4();
-                v[c as usize] = rg!(scl).f() as f32;
-                st!(dst, RVal::from_f4(v));
-            }
-            ROp::CmpI { cmp, dst, a, b } => {
-                st!(dst, RVal::from_i(cmp_i(cmp, rg!(a).i(), rg!(b).i()) as i64))
-            }
-            ROp::CmpF { cmp, dst, a, b } => {
-                st!(dst, RVal::from_i(cmp_f(cmp, rg!(a).f(), rg!(b).f()) as i64))
-            }
-            ROp::Jmp { t } => item.ip = t as usize,
-            ROp::Jz { c, t } => {
-                if rg!(c).i() == 0 {
-                    item.ip = t as usize;
-                }
-            }
-            ROp::Jnz { c, t } => {
-                if rg!(c).i() != 0 {
-                    item.ip = t as usize;
-                }
-            }
-            ROp::JcI { cmp, a, b, t, when } => {
-                if cmp_i(cmp, rg!(a).i(), rg!(b).i()) == when {
-                    item.ip = t as usize;
-                }
-            }
-            ROp::JcF { cmp, a, b, t, when } => {
-                if cmp_f(cmp, rg!(a).f(), rg!(b).f()) == when {
-                    item.ip = t as usize;
-                }
-            }
-            ROp::Load { ty, dst, ptr, idx } => {
-                let (p, i) = (rg!(ptr).ptr(), rg!(idx).i());
-                let v = load(item, ctx, p, i, ty)?;
-                st!(dst, v);
-            }
-            ROp::Store { ty, ptr, idx, val } => {
-                let (p, i, v) = (rg!(ptr).ptr(), rg!(idx).i(), rg!(val));
-                store(item, ctx, p, i, ty, v)?;
-            }
-            ROp::Call { func, args_at } => {
-                // Cold relative to the arithmetic ops: plain checked
-                // indexing throughout.
-                let f = &prog.funcs[func as usize];
-                debug_assert!(f.compiled);
-                if item.frames.len() >= 192 {
-                    return Err(Trap {
-                        message: "call stack overflow".to_string(),
-                        global_id: item.gid,
-                    });
-                }
-                let new_base = item.base + item.nregs;
-                let need = new_base + f.nregs as usize;
-                if item.regs.len() < need {
-                    item.regs.resize(need, RVal::default());
-                }
-                let src = item.base + args_at as usize;
-                for k in 0..f.nargs as usize {
-                    item.regs[new_base + k] = item.regs[src + k];
-                }
-                for k in f.nargs as usize..f.nlocals as usize {
-                    item.regs[new_base + k] = RVal::default();
-                }
-                for (k, c) in f.consts.iter().enumerate() {
-                    item.regs[new_base + f.const_base as usize + k] = *c;
-                }
-                item.frames.push(RFrame {
-                    ret_ip: item.ip,
-                    prev_base: item.base,
-                    prev_nregs: item.nregs,
-                    dst: src,
-                });
-                item.base = new_base;
-                item.nregs = f.nregs as usize;
-                item.ip = f.entry as usize;
-            }
-            ROp::Id { b, dst, src } => {
-                let d = rg!(src).i();
-                let v = if !(0..=2).contains(&d) {
-                    match b {
-                        Builtin::GetGlobalSize | Builtin::GetLocalSize | Builtin::GetNumGroups => 1,
-                        _ => 0,
-                    }
-                } else {
-                    let d = d as usize;
-                    match b {
-                        Builtin::GetGlobalId => item.gid[d],
-                        Builtin::GetLocalId => item.lid[d],
-                        Builtin::GetGroupId => ctx.group_id[d],
-                        Builtin::GetGlobalSize => ctx.global_size[d],
-                        Builtin::GetLocalSize => ctx.local_size[d],
-                        Builtin::GetNumGroups => ctx.num_groups[d],
-                        _ => 0,
-                    }
-                };
-                st!(dst, RVal::from_i(v as i64));
-            }
-            ROp::Math1 { b, dst, src } => {
-                let x = rg!(src).f();
-                let v = match b {
-                    Builtin::Sqrt => x.sqrt(),
-                    Builtin::Rsqrt => 1.0 / x.sqrt(),
-                    Builtin::Fabs => x.abs(),
-                    Builtin::Floor => x.floor(),
-                    Builtin::Ceil => x.ceil(),
-                    Builtin::Exp => x.exp(),
-                    Builtin::Log => x.ln(),
-                    Builtin::Sin => x.sin(),
-                    Builtin::Cos => x.cos(),
-                    _ => x,
-                };
-                st!(dst, RVal::from_f(v));
-            }
-            ROp::Math2F { b, dst, a, b2 } => {
-                let (x, y) = (rg!(a).f(), rg!(b2).f());
-                let v = match b {
-                    Builtin::Pow => x.powf(y),
-                    Builtin::Fmin => x.min(y),
-                    Builtin::Fmax => x.max(y),
-                    _ => x,
-                };
-                st!(dst, RVal::from_f(v));
-            }
-            ROp::Math2I { b, dst, a, b2 } => {
-                let (x, y) = (rg!(a).i(), rg!(b2).i());
-                st!(dst, RVal::from_i(if b == Builtin::MinI { x.min(y) } else { x.max(y) }));
-            }
-            ROp::AbsI { dst, src } => st!(dst, RVal::from_i(rg!(src).i().abs())),
-            ROp::Clamp { dst, v, lo, hi } => {
-                let (x, l, h) = (rg!(v).f(), rg!(lo).f(), rg!(hi).f());
-                st!(dst, RVal::from_f(x.max(l).min(h)));
-            }
-            ROp::Mad { dst, a, b, c } => {
-                st!(dst, RVal::from_f(rg!(a).f() * rg!(b).f() + rg!(c).f()))
-            }
-            ROp::MadRF { dst, c, a, b } => {
-                st!(dst, RVal::from_f(rg!(c).f() + rg!(a).f() * rg!(b).f()))
-            }
-            ROp::MadI { dst, a, b, c } => st!(
-                dst,
-                RVal::from_i(rg!(a).i().wrapping_mul(rg!(b).i()).wrapping_add(rg!(c).i()))
-            ),
-            ROp::Dot { dst, a, b } => {
-                let (x, y) = (rg!(a).f4(), rg!(b).f4());
-                let mut acc = 0f64;
-                for k in 0..4 {
-                    acc += x[k] as f64 * y[k] as f64;
-                }
-                st!(dst, RVal::from_f(acc));
-            }
-            ROp::Barrier => return Ok(StopReason::Barrier),
-            ROp::Ret => match item.frames.pop() {
-                Some(fr) => {
-                    item.base = fr.prev_base;
-                    item.nregs = fr.prev_nregs;
-                    item.ip = fr.ret_ip;
-                }
-                None => return Ok(StopReason::Done),
-            },
-            ROp::RetV { src } => {
-                let v = rg!(src);
-                match item.frames.pop() {
-                    Some(fr) => {
-                        item.regs[fr.dst] = v;
-                        item.base = fr.prev_base;
-                        item.nregs = fr.prev_nregs;
-                        item.ip = fr.ret_ip;
-                    }
-                    None => return Ok(StopReason::Done),
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::minicl::codegen::compile;
-    use crate::minicl::interp;
+    use crate::minicl::interp::{self, MemPool, NdStats, RtArg, Trap};
+    use crate::minicl::native;
     use crate::minicl::parser::parse;
 
     type EngineRun = Result<(NdStats, Vec<Vec<u8>>), Trap>;
 
-    /// Run `kernel` from `src` on both engines with identical pools and
-    /// return both results.
+    /// Run `kernel` from `src` on the stack engine and on the native engine
+    /// (register lowering, then native lowering) with identical pools and
+    /// return both results. Panics if either lowering declines the kernel,
+    /// so every case really exercises the register lowering.
     fn both_engines(
         src: &str,
         kernel: &str,
@@ -2114,14 +1437,15 @@ mod tests {
         let unit = compile(&ast).expect("compile");
         let info = unit.kernels.get(kernel).expect("kernel").clone();
 
-        let run = |register: bool| -> EngineRun {
+        let run = |lowered: bool| -> EngineRun {
             let mut pool = MemPool {
                 bufs: pool_init.0.clone(),
                 read_only: pool_init.1.clone(),
             };
-            if register {
-                let prog = compile_kernel(&unit, &info).expect("register compile");
-                run_ndrange(&prog, &info, args, &mut pool, global, local)
+            if lowered {
+                let reg = compile_kernel(&unit, &info).expect("register compile");
+                let prog = native::compile_native(&reg, &info).expect("native compile");
+                native::run_ndrange(&prog, &info, args, &mut pool, global, local)
                     .map(|stats| (stats, pool.bufs))
             } else {
                 interp::run_ndrange(&unit, &info, args, &mut pool, global, local)
@@ -2131,18 +1455,18 @@ mod tests {
         (run(false), run(true))
     }
 
-    fn assert_engines_agree(stack: EngineRun, register: EngineRun) {
-        match (stack, register) {
-            (Ok((s_stats, s_bufs)), Ok((r_stats, r_bufs))) => {
-                assert_eq!(s_bufs, r_bufs, "buffer contents differ");
-                assert_eq!(s_stats.group_ops, r_stats.group_ops, "group_ops differ");
-                assert_eq!(s_stats.items, r_stats.items, "item counts differ");
+    fn assert_engines_agree(stack: EngineRun, native: EngineRun) {
+        match (stack, native) {
+            (Ok((s_stats, s_bufs)), Ok((n_stats, n_bufs))) => {
+                assert_eq!(s_bufs, n_bufs, "buffer contents differ");
+                assert_eq!(s_stats.group_ops, n_stats.group_ops, "group_ops differ");
+                assert_eq!(s_stats.items, n_stats.items, "item counts differ");
             }
-            (Err(s), Err(r)) => {
-                assert_eq!(s.message, r.message, "trap messages differ");
-                assert_eq!(s.global_id, r.global_id, "trap global ids differ");
+            (Err(s), Err(n)) => {
+                assert_eq!(s.message, n.message, "trap messages differ");
+                assert_eq!(s.global_id, n.global_id, "trap global ids differ");
             }
-            (s, r) => panic!("engines disagree on success: stack={s:?} register={r:?}"),
+            (s, n) => panic!("engines disagree on success: stack={s:?} native={n:?}"),
         }
     }
 
@@ -2158,7 +1482,7 @@ mod tests {
                 if (i < n) { out[i] = in[i] * in[i]; }
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "square",
             &[
@@ -2173,7 +1497,7 @@ mod tests {
             [4, 1, 1],
             [2, 1, 1],
         );
-        assert_engines_agree(s, r);
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2191,7 +1515,7 @@ mod tests {
             }
         "#;
         let data: Vec<f32> = (0..16).map(|i| (16 - i) as f32).collect();
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "rmin",
             &[
@@ -2203,7 +1527,7 @@ mod tests {
             [16, 1, 1],
             [8, 1, 1],
         );
-        assert_engines_agree(s, r);
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2215,7 +1539,7 @@ mod tests {
                 a[i] = sq(a[i]) + sq(2.0f);
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "k",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -2223,7 +1547,7 @@ mod tests {
             [2, 1, 1],
             [1, 1, 1],
         );
-        assert_engines_agree(s, r);
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2236,7 +1560,7 @@ mod tests {
                 a[1] = x * y;
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "v",
             &[RtArg::Buf { pool_slot: 0 }, RtArg::Buf { pool_slot: 1 }],
@@ -2250,7 +1574,7 @@ mod tests {
             [1, 1, 1],
             [1, 1, 1],
         );
-        assert_engines_agree(s, r);
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2263,7 +1587,7 @@ mod tests {
                 out[i] = tmp[3];
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "p",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -2271,7 +1595,7 @@ mod tests {
             [2, 1, 1],
             [1, 1, 1],
         );
-        assert_engines_agree(s, r);
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2281,7 +1605,7 @@ mod tests {
                 a[get_global_id(0) + 100] = 1.0f;
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "w",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -2289,8 +1613,8 @@ mod tests {
             [4, 1, 1],
             [4, 1, 1],
         );
-        assert!(s.is_err() && r.is_err(), "both engines must trap");
-        assert_engines_agree(s, r);
+        assert!(s.is_err() && n.is_err(), "both engines must trap");
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2300,7 +1624,7 @@ mod tests {
                 a[0] = 1 / a[1];
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "d",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -2308,8 +1632,8 @@ mod tests {
             [1, 1, 1],
             [1, 1, 1],
         );
-        assert!(s.is_err() && r.is_err(), "both engines must trap");
-        assert_engines_agree(s, r);
+        assert!(s.is_err() && n.is_err(), "both engines must trap");
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2320,7 +1644,7 @@ mod tests {
                 a[get_global_id(0)] = 1.0f;
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "b",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -2328,8 +1652,8 @@ mod tests {
             [4, 1, 1],
             [4, 1, 1],
         );
-        assert!(s.is_err() && r.is_err(), "both engines must trap");
-        assert_engines_agree(s, r);
+        assert!(s.is_err() && n.is_err(), "both engines must trap");
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2339,7 +1663,7 @@ mod tests {
                 a[0] = 1.0f;
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "c",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -2347,8 +1671,8 @@ mod tests {
             [1, 1, 1],
             [1, 1, 1],
         );
-        assert!(s.is_err() && r.is_err(), "both engines must trap");
-        assert_engines_agree(s, r);
+        assert!(s.is_err() && n.is_err(), "both engines must trap");
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2360,7 +1684,7 @@ mod tests {
                 out[y * get_global_size(0) + x] = y * 100 + x;
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "t",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -2368,13 +1692,14 @@ mod tests {
             [4, 4, 1],
             [2, 2, 1],
         );
-        assert_engines_agree(s, r);
+        assert_engines_agree(s, n);
     }
 
     #[test]
     fn mad_fusion_matches_both_operand_orders() {
         // `a*x + b` fuses into Mad, `b + a*x` into MadRF; both must match
-        // the stack engine byte for byte (IEEE operand order preserved).
+        // the stack engine byte for byte through the native engine (IEEE
+        // operand order preserved).
         let src = r#"
             __kernel void saxpy(__global float* a, __global float* b,
                                 __global float* out, __global float* out2,
@@ -2384,7 +1709,7 @@ mod tests {
                 out2[i] = b[i] + a[i] * x;
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "saxpy",
             &[
@@ -2406,7 +1731,7 @@ mod tests {
             [4, 1, 1],
             [2, 1, 1],
         );
-        assert_engines_agree(s, r);
+        assert_engines_agree(s, n);
     }
 
     #[test]
@@ -2421,7 +1746,7 @@ mod tests {
                 a[i] = acc;
             }
         "#;
-        let (s, r) = both_engines(
+        let (s, n) = both_engines(
             src,
             "k",
             &[RtArg::Buf { pool_slot: 0 }],
@@ -2429,7 +1754,7 @@ mod tests {
             [2, 1, 1],
             [1, 1, 1],
         );
-        assert_engines_agree(s, r);
+        assert_engines_agree(s, n);
     }
 
     #[test]

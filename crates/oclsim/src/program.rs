@@ -7,7 +7,7 @@ use crate::error::{ClError, ClResult};
 use crate::minicl::ast::{Space, Type};
 use crate::minicl::interp::RtArg;
 use crate::minicl::native::{self, NativeProgram};
-use crate::minicl::regir::{self, RegProgram};
+use crate::minicl::regir;
 use crate::minicl::{self, CompiledUnit, KernelInfo, Val};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,26 +106,14 @@ pub(crate) struct DispatchPlan {
     pub(crate) local_bytes: usize,
 }
 
-/// Lazily compiled register program for a kernel.
-#[derive(Debug, Default)]
-enum RegSlot {
-    /// Not attempted yet.
-    #[default]
-    NotCompiled,
-    /// Lowering declined the kernel; always use the stack engine.
-    Unsupported,
-    /// Ready to dispatch.
-    Ready(Arc<RegProgram>),
-}
-
-/// Lazily compiled native program for a kernel (third rung of the engine
-/// ladder, lowered from the register program).
+/// Lazily compiled native program for a kernel (register lowering, then
+/// native lowering).
 #[derive(Debug, Default)]
 enum NativeSlot {
     /// Not attempted yet.
     #[default]
     NotCompiled,
-    /// Lowering declined the kernel; fall back to the register engine.
+    /// A lowering declined the kernel; always use the stack engine.
     Unsupported,
     /// Ready to dispatch.
     Ready(Arc<NativeProgram>),
@@ -133,13 +121,12 @@ enum NativeSlot {
 
 /// Dispatch-state cache shared by all clones of a kernel: the argument
 /// generation counter, the cached [`DispatchPlan`], the lazily compiled
-/// register and native programs and the per-kernel engine override.
+/// native program and the per-kernel engine override.
 #[derive(Debug, Default)]
 pub(crate) struct KernelCache {
     /// Bumped on every argument rebind; invalidates the plan.
     generation: AtomicU64,
     plan: Mutex<Option<Arc<DispatchPlan>>>,
-    reg: Mutex<RegSlot>,
     native: Mutex<NativeSlot>,
     engine: Mutex<Option<Engine>>,
 }
@@ -255,71 +242,42 @@ impl Kernel {
     /// Override the execution engine for this kernel's dispatches, or
     /// `None` to follow the process-wide default
     /// ([`crate::engine::default_engine`]). Shared by all clones of the
-    /// kernel. The override selects a rung only when the corresponding
-    /// lowering supports the kernel; otherwise dispatch silently falls
-    /// down the ladder (native → register → stack), visible in the
-    /// event's `engine()`.
+    /// kernel. Native runs only when its lowerings support the kernel;
+    /// otherwise dispatch silently falls back to the stack engine, visible
+    /// in the event's `engine()`.
     pub fn set_engine(&self, engine: Option<Engine>) {
         *self.cache.engine.lock() = engine;
     }
 
     /// The engine this kernel's next dispatch will *request* (the dispatch
-    /// may still fall down the ladder if a lowering declined the kernel).
+    /// may still fall back to the stack engine if a lowering declined the
+    /// kernel).
     pub fn engine(&self) -> Engine {
         self.cache.engine.lock().unwrap_or_else(default_engine)
     }
 
-    /// The lazily compiled register program, or `None` when the lowering
-    /// does not cover this kernel (→ stack fallback). Compiled at most
-    /// once per kernel object; all clones share the result.
-    pub(crate) fn reg_program(&self) -> Option<Arc<RegProgram>> {
-        let mut slot = self.cache.reg.lock();
-        match &*slot {
-            RegSlot::Ready(p) => Some(Arc::clone(p)),
-            RegSlot::Unsupported => None,
-            RegSlot::NotCompiled => match regir::compile_kernel(&self.unit, &self.info) {
-                Some(prog) => {
-                    let prog = Arc::new(prog);
-                    *slot = RegSlot::Ready(Arc::clone(&prog));
-                    Some(prog)
-                }
-                None => {
-                    *slot = RegSlot::Unsupported;
-                    None
-                }
-            },
-        }
-    }
-
-    /// The lazily compiled native program, or `None` when either lowering
-    /// rung declines this kernel (→ register or stack fallback). Compiled
+    /// The lazily compiled native program, or `None` when the register or
+    /// native lowering declines this kernel (→ stack fallback). Compiled
     /// at most once per kernel object; all clones share the result.
     pub(crate) fn native_program(&self) -> Option<Arc<NativeProgram>> {
-        {
-            let slot = self.cache.native.lock();
-            match &*slot {
-                NativeSlot::Ready(p) => return Some(Arc::clone(p)),
-                NativeSlot::Unsupported => return None,
-                NativeSlot::NotCompiled => {}
-            }
-        }
-        // Compile outside the native lock: reg_program takes its own lock.
-        let compiled = self
-            .reg_program()
-            .and_then(|reg| native::compile_native(&reg, &self.info));
         let mut slot = self.cache.native.lock();
-        if let NativeSlot::Ready(p) = &*slot {
-            return Some(Arc::clone(p));
-        }
-        match compiled {
-            Some(prog) => {
-                let prog = Arc::new(prog);
-                *slot = NativeSlot::Ready(Arc::clone(&prog));
-                Some(prog)
-            }
-            None => {
-                *slot = NativeSlot::Unsupported;
-                None
+        match &*slot {
+            NativeSlot::Ready(p) => Some(Arc::clone(p)),
+            NativeSlot::Unsupported => None,
+            NativeSlot::NotCompiled => {
+                match regir::compile_kernel(&self.unit, &self.info)
+                    .and_then(|reg| native::compile_native(&reg, &self.info))
+                {
+                    Some(prog) => {
+                        let prog = Arc::new(prog);
+                        *slot = NativeSlot::Ready(Arc::clone(&prog));
+                        Some(prog)
+                    }
+                    None => {
+                        *slot = NativeSlot::Unsupported;
+                        None
+                    }
+                }
             }
         }
     }

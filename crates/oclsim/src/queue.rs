@@ -10,7 +10,6 @@ use crate::event::{CommandKind, Event};
 use crate::fault::{FaultEffect, FaultInjector, FaultOp};
 use crate::minicl::interp::{run_ndrange_window, MemPool, NdStats};
 use crate::minicl::native;
-use crate::minicl::regir;
 use crate::ndrange::NdRange;
 use crate::program::Kernel;
 use parking_lot::Mutex;
@@ -492,10 +491,9 @@ impl CommandQueue {
     /// Launch a kernel over `nd`, mirroring `clEnqueueNDRangeKernel`.
     ///
     /// Executes the kernel with the engine the kernel requests (native by
-    /// default, falling down the ladder to register and then the stack
-    /// reference engine whenever a lowering declines the kernel — see
-    /// [`crate::engine`]) and
-    /// charges the device's analytic cost to the queue's virtual clock. The
+    /// default, falling back to the stack reference engine whenever a
+    /// lowering declines the kernel — see [`crate::engine`]) and charges
+    /// the device's analytic cost to the queue's virtual clock. The
     /// returned event's profiling timestamps expose that cost; its
     /// [`Event::engine`] and [`Event::ops`] report what actually ran. The
     /// resolved arguments come from the kernel's cached dispatch plan, so
@@ -585,7 +583,7 @@ impl CommandQueue {
     }
 
     /// Functionally execute the work-groups of `nd` whose per-dimension
-    /// group indices fall in `window`, on this queue's engine ladder.
+    /// group indices fall in `window`, on the kernel's engine.
     /// No clock advance, no event, no provenance — the caller aggregates
     /// the returned [`NdStats`] into a single committed command (see
     /// [`CommandQueue::commit_kernel`]). Buffers are checked out for the
@@ -614,18 +612,11 @@ impl CommandQueue {
             }
         }
 
-        // Walk down the engine ladder from the requested rung, lazily
-        // compiling only the programs the chosen rung needs: native →
-        // register → stack, stopping at the first lowering that accepted
-        // the kernel.
-        let requested = kernel.engine();
-        let native = match requested {
+        // Native when requested and both lowerings accept the kernel
+        // (compiled lazily, once per kernel); the stack engine otherwise.
+        let native = match kernel.engine() {
             Engine::Native => kernel.native_program(),
-            Engine::Register | Engine::Stack => None,
-        };
-        let reg = match (&native, requested) {
-            (Some(_), _) | (None, Engine::Stack) => None,
-            (None, Engine::Native | Engine::Register) => kernel.reg_program(),
+            Engine::Stack => None,
         };
         let (result, engine_used) = if let Some(prog) = native {
             (
@@ -639,19 +630,6 @@ impl CommandQueue {
                     window,
                 ),
                 Engine::Native,
-            )
-        } else if let Some(prog) = reg {
-            (
-                regir::run_ndrange_window(
-                    &prog,
-                    &kernel.info,
-                    &plan.rt_args,
-                    &mut pool,
-                    nd.global,
-                    nd.local,
-                    window,
-                ),
-                Engine::Register,
             )
         } else {
             (
@@ -766,9 +744,9 @@ impl CommandQueue {
     }
 
     /// Consult this queue's fault surface as a liveness probe — the
-    /// crate-internal seam the co-execution scheduler draws once per
-    /// chunk a *secondary* lane takes, so a device lost mid-split is
-    /// observed at the chunk boundary and its groups can be rescued.
+    /// crate-internal seam the co-execution scheduler draws once before
+    /// the *secondary* lane's piece, so a device lost at the split is
+    /// observed and its groups can be rescued.
     /// Non-error effects (slowdown, bit corruption) are ignored here:
     /// the secondary lane never executes functionally, so only its
     /// availability matters. An injected kill-fault still propagates.
@@ -1105,16 +1083,16 @@ mod tests {
         let buf = ctx.create_buffer(MemFlags::ReadWrite, 16).unwrap();
         k.set_arg_buffer(0, &buf).unwrap();
 
-        k.set_engine(Some(crate::engine::Engine::Register));
+        k.set_engine(Some(crate::engine::Engine::Native));
         let ev = q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap();
-        assert_eq!(ev.engine(), Some("register"));
+        assert_eq!(ev.engine(), Some("native"));
         assert!(ev.ops() > 0);
-        let register_ops = ev.ops();
+        let native_ops = ev.ops();
 
         k.set_engine(Some(crate::engine::Engine::Stack));
         let ev = q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap();
         assert_eq!(ev.engine(), Some("stack"));
-        assert_eq!(ev.ops(), register_ops);
+        assert_eq!(ev.ops(), native_ops);
 
         // The trace spans carry the same engine/ops args.
         let events = sink.events();
@@ -1123,7 +1101,7 @@ mod tests {
             .filter(|e| e.kind == SpanKind::Kernel)
             .collect();
         assert_eq!(kernels.len(), 2);
-        for (te, engine) in kernels.iter().zip(["register", "stack"]) {
+        for (te, engine) in kernels.iter().zip(["native", "stack"]) {
             assert!(te
                 .args
                 .iter()
@@ -1131,7 +1109,7 @@ mod tests {
             assert!(te
                 .args
                 .iter()
-                .any(|(k, v)| k == "ops" && v == &register_ops.to_string()));
+                .any(|(k, v)| k == "ops" && v == &native_ops.to_string()));
         }
     }
 

@@ -36,8 +36,7 @@ use ensemble_ocl::{
     ProfileSink, RecoveryPolicy, ResidentBufs, ResolveEnv,
 };
 use oclsim::{
-    co_enqueue, CoexecConfig, DeviceType, DispatchBatch, Kernel, KillPanic, MemFlags, PolicyKind,
-    Program,
+    co_enqueue, CoexecConfig, DeviceType, DispatchBatch, Kernel, KillPanic, MemFlags, Program,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -556,14 +555,13 @@ fn upload(
 /// How a kernel actor's dispatch reaches the device, decided per request
 /// from the kernel's compile-time proofs and the VM's [`CoexecConfig`].
 enum DispatchMode<'a> {
-    /// Plain single-device enqueue (no proof, no policy, or too small).
+    /// Plain single-device enqueue (no proof, splitting off, or too small).
     Single,
     /// Proof-gated co-execution: split the NDRange along `dim` (proven
     /// `Splittable`) across this queue and a secondary device lane.
     Coexec {
         secondary: &'a OpenClEnvironment,
         dim: usize,
-        kind: PolicyKind,
         cfg: &'a CoexecConfig,
     },
     /// Append to an open batched-dispatch session of the kernel's proven
@@ -611,7 +609,6 @@ fn dispatch(
         DispatchMode::Coexec {
             secondary,
             dim,
-            kind,
             cfg,
         } => {
             let items: usize = ws.iter().product();
@@ -624,10 +621,7 @@ fn dispatch(
                 })
             } else {
                 with_retry(policy, &env.queue, name, profile, "dispatch", || {
-                    // A fresh policy per attempt: retries must not see a
-                    // half-consumed chunk schedule.
-                    let mut p = kind.make(cfg);
-                    co_enqueue(&env.queue, &secondary.queue, kernel, &nd, dim, p.as_mut())
+                    co_enqueue(&env.queue, &secondary.queue, kernel, &nd, dim)
                 })
             }
         }
@@ -687,13 +681,13 @@ fn kernel_actor(
     }
 
     // The scheduler seam: decide once per incarnation how this actor's
-    // dispatches reach the device. Co-execution needs a policy, a
+    // dispatches reach the device. Co-execution needs splitting on, a
     // dimension the split proof classifies `Splittable`, the copy path
     // (`mov` chains keep data resident and batch instead), and a second
     // device of the opposite type that actually resolves — anything
     // missing falls back to plain single-device dispatch.
     let coexec_cfg = shared.coexec.lock().clone();
-    let split_dim = if coexec_cfg.policy.is_some() && !plan.mov {
+    let split_dim = if coexec_cfg.split && !plan.mov {
         plan.proofs
             .as_ref()
             .and_then(|p| p.split.splittable_dims().into_iter().next())
@@ -1007,7 +1001,6 @@ fn kernel_actor(
                     (Some(sec), Some(dim)) => DispatchMode::Coexec {
                         secondary: sec,
                         dim,
-                        kind: coexec_cfg.policy.expect("split_dim implies policy"),
                         cfg: &coexec_cfg,
                     },
                     _ => DispatchMode::Single,

@@ -4,7 +4,7 @@
 //! devices, batch proven-fusable dispatch chains, or decline and fall
 //! back to the plain path — but it must never change *what* a program
 //! computes or make the virtual clock non-deterministic. These tests pin
-//! that triangle for every application and every policy, plus the fault
+//! that triangle for every application under the static split, plus the fault
 //! edge: a secondary device lost mid-split rescues its remaining
 //! sub-ranges onto the surviving primary, byte-identically.
 
@@ -12,7 +12,7 @@ use bench::apps_ens;
 use ensemble_ocl::{device_matrix, DeviceSel, ProfileSink};
 use ensemble_vm::VmRuntime;
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault};
-use oclsim::{CoexecConfig, PolicyKind};
+use oclsim::CoexecConfig;
 use trace::{SpanKind, TraceEvent, TraceSink};
 
 /// Fault injectors attach to the process-global device matrix, and the
@@ -35,12 +35,12 @@ fn run_with(src: &str, cfg: CoexecConfig) -> (Vec<String>, f64, Vec<TraceEvent>)
     (report.output, total_ns, sink.events())
 }
 
-/// The most aggressive co-execution config: split policy on, batching
+/// The most aggressive co-execution config: splitting on, batching
 /// on, and no minimum-size floor, so even the tiny triangle-sized
 /// dispatches take the co-execution path whenever their proofs allow.
-fn eager(policy: PolicyKind) -> CoexecConfig {
+fn eager() -> CoexecConfig {
     CoexecConfig {
-        policy: Some(policy),
+        split: true,
         batch: true,
         min_items: 1,
         ..CoexecConfig::default()
@@ -59,14 +59,8 @@ fn apps() -> [(&'static str, String); 5] {
     ]
 }
 
-const POLICIES: [PolicyKind; 3] = [
-    PolicyKind::Static,
-    PolicyKind::ChunkedDynamic,
-    PolicyKind::Guided,
-];
-
 /// All `CoexecSplit` instants' arguments, in order — the scheduler's
-/// complete decision record for a run (policy, split dimension, group
+/// complete decision record for a run (split dimension, group
 /// assignment per lane).
 fn split_decisions(events: &[TraceEvent]) -> Vec<Vec<(String, String)>> {
     events
@@ -76,7 +70,7 @@ fn split_decisions(events: &[TraceEvent]) -> Vec<Vec<(String, String)>> {
         .collect()
 }
 
-/// Every app × every policy (with batching on and no size floor):
+/// Every app under the static split (with batching on and no size floor):
 /// output byte-identical to the plain single-device run, scheduler
 /// decisions bit-identical across repeated runs, and the virtual clock
 /// equal to float-accumulation tolerance. (The device queues are
@@ -89,24 +83,22 @@ fn every_app_is_byte_identical_and_deterministic_under_every_policy() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for (app, src) in apps() {
         let (reference, _, _) = run_with(&src, CoexecConfig::default());
-        for policy in POLICIES {
-            let (out_a, ns_a, ev_a) = run_with(&src, eager(policy));
-            let (out_b, ns_b, ev_b) = run_with(&src, eager(policy));
-            assert_eq!(
-                out_a, reference,
-                "{app}/{policy:?}: co-executed output diverged from plain run"
-            );
-            assert_eq!(out_a, out_b, "{app}/{policy:?}: output not deterministic");
-            assert_eq!(
-                split_decisions(&ev_a),
-                split_decisions(&ev_b),
-                "{app}/{policy:?}: split decisions not deterministic"
-            );
-            assert!(
-                (ns_a - ns_b).abs() <= ns_a.abs() * 1e-9,
-                "{app}/{policy:?}: virtual clock diverged ({ns_a} vs {ns_b})"
-            );
-        }
+        let (out_a, ns_a, ev_a) = run_with(&src, eager());
+        let (out_b, ns_b, ev_b) = run_with(&src, eager());
+        assert_eq!(
+            out_a, reference,
+            "{app}: co-executed output diverged from plain run"
+        );
+        assert_eq!(out_a, out_b, "{app}: output not deterministic");
+        assert_eq!(
+            split_decisions(&ev_a),
+            split_decisions(&ev_b),
+            "{app}: split decisions not deterministic"
+        );
+        assert!(
+            (ns_a - ns_b).abs() <= ns_a.abs() * 1e-9,
+            "{app}: virtual clock diverged ({ns_a} vs {ns_b})"
+        );
     }
 }
 
@@ -117,12 +109,12 @@ fn every_app_is_byte_identical_and_deterministic_under_every_policy() {
 #[test]
 fn proof_blocked_kernels_never_split() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (_, _, events) = run_with(&apps_ens::reduction(1 << 12, "GPU"), eager(PolicyKind::Static));
+    let (_, _, events) = run_with(&apps_ens::reduction(1 << 12, "GPU"), eager());
     assert!(
         !events.iter().any(|e| e.kind == SpanKind::CoexecSplit),
         "reduction is proof-blocked; no split instant may appear"
     );
-    let (_, _, events) = run_with(&apps_ens::matmul(32, "GPU"), eager(PolicyKind::Static));
+    let (_, _, events) = run_with(&apps_ens::matmul(32, "GPU"), eager());
     assert!(
         events.iter().any(|e| e.kind == SpanKind::CoexecSplit),
         "matmul is proof-splittable; the scheduler must engage"
@@ -138,7 +130,7 @@ fn split_arg(events: &[TraceEvent], key: &str) -> Option<u64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
-/// At a size beyond the sweep's crossover the static policy hands the
+/// At a size beyond the sweep's crossover the static split hands the
 /// secondary real groups; losing that device mid-split rescues them
 /// onto the primary with byte-identical output, and the rescue is
 /// visible in the `CoexecSplit` instant.
@@ -147,7 +139,7 @@ fn lost_secondary_mid_split_rescues_groups_onto_survivor() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let src = apps_ens::matmul(224, "GPU");
     let cfg = CoexecConfig {
-        policy: Some(PolicyKind::Static),
+        split: true,
         ..CoexecConfig::default()
     };
     let (reference, _, _) = run_with(&src, CoexecConfig::default());
@@ -160,7 +152,7 @@ fn lost_secondary_mid_split_rescues_groups_onto_survivor() {
     assert_eq!(clean_out, reference, "clean split output diverged");
 
     // Same run with the secondary (CPU) lost on its first liveness
-    // probe: the scheduler reroutes every piece to the primary.
+    // probe: the scheduler reroutes its piece to the primary.
     let entry = device_matrix()
         .select(DeviceSel::cpu())
         .expect("CPU entry in the device matrix");

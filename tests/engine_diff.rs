@@ -1,19 +1,19 @@
-//! Differential tests pinning the three kernel execution engines together.
+//! Differential tests pinning the two kernel execution engines together.
 //!
 //! Every kernel the repository can produce — the generated OpenCL C of all
 //! five Ensemble applications on both device targets, hand-written trap
 //! fixtures, and proptest-generated expression kernels — is run through the
 //! full public dispatch path (`Program::build` → `set_arg_*` →
-//! `enqueue_nd_range`) once per engine, and all three engines must agree
+//! `enqueue_nd_range`) once per engine, and both engines must agree
 //! **byte for byte** on every output buffer, on the retired abstract op
 //! count, and — when a kernel traps — on the exact trap message and
 //! work-item.
 //!
-//! The stack interpreter is the reference; the register-IR engine
-//! (`oclsim::minicl::regir`) and the direct-threaded native engine
-//! (`oclsim::minicl::native`) are the ones under test. Each is compared
-//! against the stack reference, closing the triangle
-//! stack ↔ register ↔ native. See `ARCHITECTURE.md` §11–§12.
+//! The stack interpreter is the reference; the direct-threaded native
+//! engine (`oclsim::minicl::native`, fed by the register lowering in
+//! `oclsim::minicl::regir`) is the one under test. A kernel the native
+//! lowering declines must fall back to the stack engine. See
+//! `ARCHITECTURE.md` §11–§12.
 
 use ensemble_repro::ensemble_lang::{self, ActorCode};
 use ensemble_repro::oclsim::{
@@ -43,6 +43,10 @@ fn arg_fill(arg: usize, elems: usize) -> Vec<u8> {
 /// plus the retired abstract op count, or the trap rendered as a string.
 type Outcome = Result<(Vec<Vec<u8>>, u64), String>;
 
+/// An [`Outcome`] plus the label of the engine that actually ran the
+/// dispatch (`None` when it trapped).
+type Run = (Outcome, Option<&'static str>);
+
 /// Run `kernel_name` from `src` on `engine` with synthesized arguments.
 ///
 /// Argument kinds are discovered by trial through the public setters:
@@ -50,7 +54,13 @@ type Outcome = Result<(Vec<Vec<u8>>, u64), String>;
 /// (16 bytes per work-item in the group), then `int` (16), then
 /// `float` (0.5). Any error other than a kernel trap is a panic — the
 /// fixtures are expected to build and launch.
-fn run_on(engine: Engine, src: &str, kernel_name: &str, global: [usize; 3], local: [usize; 3]) -> Outcome {
+fn run_on(
+    engine: Engine,
+    src: &str,
+    kernel_name: &str,
+    global: [usize; 3],
+    local: [usize; 3],
+) -> Run {
     let device = Platform::default_device(DeviceType::Gpu).expect("device");
     let ctx = Context::new(std::slice::from_ref(&device)).expect("context");
     let queue = CommandQueue::new(&ctx, &device).expect("queue");
@@ -77,11 +87,11 @@ fn run_on(engine: Engine, src: &str, kernel_name: &str, global: [usize; 3], loca
                 .unwrap_or_else(|e| panic!("arg {i} of `{kernel_name}` unbindable: {e}"));
         }
     }
-    let ops = match queue.enqueue_nd_range(&kernel, &NdRange::d3(global, local)) {
-        Ok(ev) => ev.ops(),
+    let ev = match queue.enqueue_nd_range(&kernel, &NdRange::d3(global, local)) {
+        Ok(ev) => ev,
         Err(ClError::KernelTrap {
             message, global_id, ..
-        }) => return Err(format!("{message} @ {global_id:?}")),
+        }) => return (Err(format!("{message} @ {global_id:?}")), None),
         Err(other) => panic!("`{kernel_name}` failed to launch: {other}"),
     };
     let mut out = Vec::new();
@@ -90,26 +100,37 @@ fn run_on(engine: Engine, src: &str, kernel_name: &str, global: [usize; 3], loca
         queue.enqueue_read_buffer(buf, &mut bytes).expect("read");
         out.push(bytes);
     }
-    Ok((out, ops))
+    (Ok((out, ev.ops())), ev.engine())
 }
 
-/// Run on all three engines and assert identical outcomes pairwise
-/// against the stack reference (closing the triangle transitively).
-fn assert_engines_agree(src: &str, kernel_name: &str, global: [usize; 3], local: [usize; 3]) {
-    let stack = run_on(Engine::Stack, src, kernel_name, global, local);
-    for (label, engine) in [("register", Engine::Register), ("native", Engine::Native)] {
-        let other = run_on(engine, src, kernel_name, global, local);
-        match (&stack, &other) {
-            (Ok((sb, sops)), Ok((ob, oops))) => {
-                assert_eq!(sb, ob, "`{kernel_name}`: {label} output buffers differ from stack");
-                assert_eq!(sops, oops, "`{kernel_name}`: {label} retired op count differs from stack");
-            }
-            (Err(s), Err(o)) => assert_eq!(s, o, "`{kernel_name}`: {label} trap differs from stack"),
-            _ => panic!(
-                "`{kernel_name}`: engines disagree on success: stack={stack:?} {label}={other:?}"
-            ),
+/// Run on both engines and assert identical outcomes against the stack
+/// reference. Returns the label of the engine that ran the native
+/// request (`None` when it trapped).
+fn assert_engines_agree(
+    src: &str,
+    kernel_name: &str,
+    global: [usize; 3],
+    local: [usize; 3],
+) -> Option<&'static str> {
+    let (stack, _) = run_on(Engine::Stack, src, kernel_name, global, local);
+    let (native, ran) = run_on(Engine::Native, src, kernel_name, global, local);
+    match (&stack, &native) {
+        (Ok((sb, sops)), Ok((nb, nops))) => {
+            assert_eq!(
+                sb, nb,
+                "`{kernel_name}`: native output buffers differ from stack"
+            );
+            assert_eq!(
+                sops, nops,
+                "`{kernel_name}`: native retired op count differs from stack"
+            );
         }
+        (Err(s), Err(n)) => assert_eq!(s, n, "`{kernel_name}`: native trap differs from stack"),
+        _ => panic!(
+            "`{kernel_name}`: engines disagree on success: stack={stack:?} native={native:?}"
+        ),
     }
+    ran
 }
 
 /// Harvest every distinct generated kernel from the five applications'
@@ -139,7 +160,8 @@ fn harvested_kernels() -> Vec<(String, String)> {
 }
 
 /// Every kernel the Ensemble compiler generates for the five evaluation
-/// applications runs identically on all three engines.
+/// applications runs identically on both engines, and the native request
+/// is really served by the native engine.
 #[test]
 fn harvested_app_kernels_agree_on_all_engines() {
     let kernels = harvested_kernels();
@@ -149,11 +171,34 @@ fn harvested_app_kernels_agree_on_all_engines() {
         kernels.len()
     );
     for (name, src) in &kernels {
-        assert_engines_agree(src, name, GLOBAL, LOCAL);
+        let ran = assert_engines_agree(src, name, GLOBAL, LOCAL);
+        assert_eq!(
+            ran,
+            Some("native"),
+            "`{name}` fell back from the native engine"
+        );
     }
 }
 
-/// Trap fixtures: all three engines must fail identically, through the
+/// A kernel whose device function is recursive cannot be inlined by the
+/// native lowering: the native request must fall back to the stack
+/// engine, visibly on the event, with byte-identical results.
+#[test]
+fn recursive_device_function_falls_back_to_stack() {
+    let src = "int f(int x) { if (x <= 0) { return 0; } return f(x - 1) + 1; }
+        __kernel void rec(__global int* a) {
+            int i = get_global_id(1) * get_global_size(0) + get_global_id(0);
+            a[i] = f(i % 9);
+        }";
+    let ran = assert_engines_agree(src, "rec", GLOBAL, LOCAL);
+    assert_eq!(
+        ran,
+        Some("stack"),
+        "recursive kernel must run on the stack engine"
+    );
+}
+
+/// Trap fixtures: both engines must fail identically, through the
 /// public dispatch path (not just the minicl unit tests).
 #[test]
 fn trap_fixtures_agree_on_all_engines() {
@@ -174,7 +219,7 @@ fn trap_fixtures_agree_on_all_engines() {
         ),
     ];
     for (name, src) in fixtures {
-        let stack = run_on(Engine::Stack, src, name, GLOBAL, LOCAL);
+        let (stack, _) = run_on(Engine::Stack, src, name, GLOBAL, LOCAL);
         assert!(stack.is_err(), "`{name}` fixture was expected to trap");
         assert_engines_agree(src, name, GLOBAL, LOCAL);
     }
@@ -182,7 +227,7 @@ fn trap_fixtures_agree_on_all_engines() {
 
 /// Build a float expression kernel from a proptest-chosen op/operand
 /// script. Each step folds `v = v <op> <operand>` (or a call), covering
-/// the register compiler's constant pool, mad fusion in both operand
+/// the register lowering's constant pool, mad fusion in both operand
 /// orders, and compare-branch fusion.
 fn float_expr_kernel(script: &[(u8, u8)]) -> String {
     let mut body = String::from("float v = a[i];\n");
