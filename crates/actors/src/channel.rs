@@ -23,11 +23,34 @@
 //! connection made to it has been dropped (and the buffer is drained).
 //! Connections are tracked explicitly — the `In` endpoint itself holds a
 //! sender handle for future `connect` calls, so raw crossbeam disconnect
-//! detection would never fire; instead each connection carries a guard and
-//! blocked receives poll at a coarse interval while also waiting on the
-//! underlying channel.
+//! detection would never fire; instead each connection carries a guard
+//! that counts it in the receiver's liveness state (`connected`,
+//! `ever_connected`, `poisoned`).
+//!
+//! Wakeups: a blocked operation returns as soon as its outcome is decided,
+//! with no polling. A blocked receive returns when a message arrives, the
+//! last connection drops ([`ChannelError::Closed`]), the endpoint is
+//! poisoned, or the caller's own deadline passes; a sender parked on a
+//! rendezvous returns when a receiver arrives, the receiver drops, or the
+//! target is poisoned. The liveness state lives in atomics outside the
+//! underlying channel's mutex, so the two are joined by the channel's
+//! *wake generation* (an eventcount, see the `crossbeam` shim):
+//!
+//! * a waiter reads the generation, *then* checks the liveness state, and
+//!   parks only while the generation is still the one it read;
+//! * whoever drops the last connection or poisons the endpoint changes the
+//!   liveness state first, *then* bumps the generation under the channel's
+//!   lock and notifies every waiter.
+//!
+//! No wakeup is lost: if the change landed before the waiter's check, the
+//! check sees it. If it landed after, the bump is either already visible
+//! when the waiter takes the lock to park (it returns instead of parking
+//! and re-checks) or happens while it is parked (the notify wakes it). The
+//! bump is made under the lock the waiter re-reads the generation with, so
+//! a waiter that sees the new generation also sees the state change that
+//! preceded it. The only timed wait left is the caller's own deadline.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, WaitError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -91,13 +114,19 @@ struct Connection<T> {
 
 impl<T> Drop for Connection<T> {
     fn drop(&mut self) {
-        self.state.connected.fetch_sub(1, Ordering::AcqRel);
+        if self.state.connected.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // The last connection: a blocked receive must see `Closed` now.
+            self.sender.wake();
+        }
     }
 }
 
-/// How long a blocked receive waits on the underlying channel before
-/// re-checking whether every connection has dropped.
-const DISCONNECT_POLL: Duration = Duration::from_millis(2);
+/// Poison the endpoint behind `state`, then wake its blocked peers (the
+/// order the module-level wake protocol relies on).
+fn poison<T>(state: &InState, sender: &Sender<T>) {
+    state.poisoned.store(true, Ordering::Release);
+    sender.wake();
+}
 
 /// The receiving endpoint of a typed channel.
 ///
@@ -158,7 +187,7 @@ impl<T> In<T> {
     /// will never happen. Used by a failed stage to tear down its
     /// pipeline.
     pub fn poison(&self) {
-        self.state.poisoned.store(true, Ordering::Release);
+        poison(&self.state, &self.sender);
     }
 
     /// Whether this endpoint has been poisoned.
@@ -210,38 +239,24 @@ impl<T> In<T> {
             None
         };
         let result = loop {
+            // Read the wake generation before the liveness checks: a close
+            // or poison that lands after them bumps it, so the wait below
+            // returns instead of parking.
+            let seen = self.receiver.generation();
             // Deliver in-flight messages even after poisoning — only fail
             // once the buffer is drained, so data already produced by an
             // upstream stage is not silently dropped during teardown.
             if self.state.poisoned.load(Ordering::Acquire) {
-                break match self.receiver.try_recv() {
-                    Ok(v) => Ok(v),
-                    Err(_) => Err(ChannelError::Poisoned),
-                };
+                break self.drain_or(ChannelError::Poisoned);
             }
-            match self.receiver.recv_timeout(DISCONNECT_POLL) {
+            if self.is_closed() {
+                break self.drain_or(ChannelError::Closed);
+            }
+            match self.receiver.recv_unless_woken(seen, deadline) {
                 Ok(v) => break Ok(v),
-                Err(RecvTimeoutError::Disconnected) => break Err(ChannelError::Closed),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.state.ever_connected.load(Ordering::Acquire)
-                        && self.state.connected.load(Ordering::Acquire) == 0
-                    {
-                        // Final drain: a value may have landed between the
-                        // timeout and the check.
-                        break match self.receiver.try_recv() {
-                            Ok(v) => Ok(v),
-                            Err(_) => Err(ChannelError::Closed),
-                        };
-                    }
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            break match self.receiver.try_recv() {
-                                Ok(v) => Ok(v),
-                                Err(_) => Err(ChannelError::TimedOut),
-                            };
-                        }
-                    }
-                }
+                Err(WaitError::Woken) => continue,
+                Err(WaitError::Disconnected) => break Err(ChannelError::Closed),
+                Err(WaitError::Timeout) => break Err(ChannelError::TimedOut),
             }
         };
         if let Some(t0) = wait_start {
@@ -263,23 +278,27 @@ impl<T> In<T> {
     pub fn try_receive(&self) -> Result<Option<T>, ChannelError> {
         match self.receiver.try_recv() {
             Ok(v) => Ok(Some(v)),
-            Err(crossbeam::channel::TryRecvError::Empty) => {
-                if self.state.ever_connected.load(Ordering::Acquire)
-                    && self.state.connected.load(Ordering::Acquire) == 0
-                {
-                    // Final drain: a message may have landed between the
-                    // empty poll and the connection-count check (same
-                    // window `receive` guards against).
-                    match self.receiver.try_recv() {
-                        Ok(v) => Ok(Some(v)),
-                        Err(_) => Err(ChannelError::Closed),
-                    }
-                } else {
-                    Ok(None)
-                }
+            // A message may have landed between the empty poll and the
+            // connection-count check: drain once more before reporting.
+            Err(TryRecvError::Empty) if self.is_closed() => {
+                self.drain_or(ChannelError::Closed).map(Some)
             }
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(ChannelError::Closed),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(ChannelError::Closed),
         }
+    }
+
+    /// Whether every connection ever made to this endpoint has dropped (an
+    /// endpoint that was never connected is not closed: it may be
+    /// connected later).
+    fn is_closed(&self) -> bool {
+        self.state.ever_connected.load(Ordering::Acquire)
+            && self.state.connected.load(Ordering::Acquire) == 0
+    }
+
+    /// A still-buffered message, or `err` once the buffer is empty.
+    fn drain_or(&self, err: ChannelError) -> Result<T, ChannelError> {
+        self.receiver.try_recv().map_err(|_| err)
     }
 
     fn make_connection(&self) -> Connection<T> {
@@ -316,7 +335,7 @@ impl<T> InConnector<T> {
     /// Poison the referred-to endpoint (see [`In::poison`]) — usable even
     /// after the endpoint itself moved into its owning actor.
     pub fn poison(&self) {
-        self.state.poisoned.store(true, Ordering::Release);
+        poison(&self.state, &self.sender);
     }
 
     /// Clear a previous poison (see [`In::clear_poison`]) — the
@@ -415,7 +434,7 @@ impl<T> Out<T> {
     /// pipeline unwinds instead of deadlocking on a rendezvous.
     pub fn poison_receivers(&self) {
         for c in self.targets.lock().connections.iter() {
-            c.state.poisoned.store(true, Ordering::Release);
+            poison(&c.state, &c.sender);
         }
     }
 
@@ -432,35 +451,17 @@ impl<T> Out<T> {
                 t.next = t.next.wrapping_add(1);
                 Arc::clone(&t.connections[idx])
             };
-            if target.state.poisoned.load(Ordering::Acquire) {
-                // The receiver's stage failed: don't rendezvous with a peer
-                // that will never pick the message up. Forget the target and
-                // retry with the rest, reporting `Poisoned` once none remain.
-                let mut t = self.targets.lock();
-                t.connections
-                    .retain(|c| !c.sender.same_channel(&target.sender));
-                if t.connections.is_empty() {
-                    return Err(ChannelError::Poisoned);
-                }
-                continue;
-            }
-            // Bounded waits (instead of one indefinitely blocking send) so a
-            // sender parked on a rendezvous observes poisoning that happens
-            // *after* it blocked.
-            match target.sender.send_timeout(value, DISCONNECT_POLL) {
+            match send_to(&target, value) {
                 Ok(()) => return Ok(()),
-                Err(SendTimeoutError::Timeout(v)) => {
-                    // Re-run the poison/liveness checks, then wait again.
-                    value = v;
-                }
-                Err(SendTimeoutError::Disconnected(v)) => {
-                    // Receiver vanished: forget it and retry with the rest.
+                Err((v, why)) => {
+                    // Forget the dead target and retry with the rest,
+                    // reporting why once none remain.
                     value = v;
                     let mut t = self.targets.lock();
                     t.connections
                         .retain(|c| !c.sender.same_channel(&target.sender));
                     if t.connections.is_empty() {
-                        return Err(ChannelError::NoReceivers);
+                        return Err(why);
                     }
                 }
             }
@@ -500,23 +501,9 @@ impl<T> Out<T> {
         let mut delivered = 0;
         let mut dead: Vec<Sender<T>> = Vec::new();
         for c in connections {
-            let mut payload = value.clone();
-            loop {
-                if c.state.poisoned.load(Ordering::Acquire) {
-                    dead.push(c.sender.clone());
-                    break;
-                }
-                match c.sender.send_timeout(payload, DISCONNECT_POLL) {
-                    Ok(()) => {
-                        delivered += 1;
-                        break;
-                    }
-                    Err(SendTimeoutError::Timeout(v)) => payload = v,
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        dead.push(c.sender.clone());
-                        break;
-                    }
-                }
+            match send_to(&c, value.clone()) {
+                Ok(()) => delivered += 1,
+                Err(_) => dead.push(c.sender.clone()),
             }
         }
         if !dead.is_empty() {
@@ -531,6 +518,26 @@ impl<T> Out<T> {
         } else {
             self.trace_send(SpanKind::Duplicate, "broadcast");
             Ok(())
+        }
+    }
+}
+
+/// Deliver `value` into one connection, blocking until the channel takes
+/// it. Gives the value back with [`ChannelError::Poisoned`] if the target
+/// is (or becomes, while this sender is parked on its rendezvous) poisoned
+/// — its stage failed and will never pick the message up — and with
+/// [`ChannelError::NoReceivers`] if the receiving endpoint was dropped.
+fn send_to<T>(c: &Connection<T>, mut value: T) -> Result<(), (T, ChannelError)> {
+    loop {
+        let seen = c.sender.generation();
+        if c.state.poisoned.load(Ordering::Acquire) {
+            return Err((value, ChannelError::Poisoned));
+        }
+        match c.sender.send_unless_woken(value, seen) {
+            Ok(()) => return Ok(()),
+            // Woken: the target may have been poisoned; re-run the check.
+            Err((v, WaitError::Woken)) => value = v,
+            Err((v, _)) => return Err((v, ChannelError::NoReceivers)),
         }
     }
 }
@@ -838,6 +845,121 @@ mod tests {
         assert_eq!(b.receive(), Ok(1));
         assert_eq!(b.receive(), Ok(2));
         assert_eq!(o.fan_out(), 1);
+    }
+
+    /// Median time, over 50 trials, from calling `wake` to the blocked
+    /// `wait` (started on its own thread a moment earlier) returning;
+    /// every trial must return `expect`. Whatever `wake` returns is kept
+    /// alive until the waiter has returned.
+    fn median_wake_latency<R, W, K, G>(expect: R, setup: impl Fn() -> (W, K)) -> Duration
+    where
+        R: PartialEq + std::fmt::Debug + Send + 'static,
+        W: FnOnce() -> R + Send + 'static,
+        K: FnOnce() -> G,
+    {
+        let mut latencies: Vec<Duration> = (0..50u64)
+            .map(|k| {
+                let (wait, wake) = setup();
+                let t = thread::spawn(move || {
+                    let r = wait();
+                    (r, Instant::now())
+                });
+                // Let the waiter park before waking it. The pause varies
+                // over 0.5–2.5 ms so that no periodic wakeup in the waiter
+                // can line up with the wake by accident.
+                thread::sleep(Duration::from_micros(500 + k * 41 % 2000));
+                let t0 = Instant::now();
+                let keep = wake();
+                let (r, done) = t.join().unwrap();
+                drop(keep);
+                assert_eq!(r, expect);
+                done.saturating_duration_since(t0)
+            })
+            .collect();
+        latencies.sort_unstable();
+        latencies[latencies.len() / 2]
+    }
+
+    const WAKE_BOUND: Duration = Duration::from_micros(200);
+
+    #[test]
+    fn last_out_drop_wakes_blocked_receiver_at_once() {
+        let median = median_wake_latency(Err(ChannelError::Closed), || {
+            let (o, i) = channel::<i32>();
+            (move || i.receive(), move || drop(o))
+        });
+        assert!(median < WAKE_BOUND, "median wake latency {median:?}");
+    }
+
+    #[test]
+    fn poison_receivers_wakes_blocked_receiver_at_once() {
+        let median = median_wake_latency(Err(ChannelError::Poisoned), || {
+            let (o, i) = channel::<i32>();
+            (
+                move || i.receive(),
+                move || {
+                    o.poison_receivers();
+                    o
+                },
+            )
+        });
+        assert!(median < WAKE_BOUND, "median wake latency {median:?}");
+    }
+
+    #[test]
+    fn in_poison_wakes_rendezvous_sender_at_once() {
+        let median = median_wake_latency(Err(ChannelError::Poisoned), || {
+            let (o, i) = channel::<i32>();
+            (
+                move || o.send(&7),
+                move || {
+                    i.poison();
+                    i
+                },
+            )
+        });
+        assert!(median < WAKE_BOUND, "median wake latency {median:?}");
+    }
+
+    /// Race `wake` against a thread entering `recv_timeout(1 s)`, 2,000
+    /// times: a lost wakeup shows up as `TimedOut` instead of `expect`.
+    fn race_wake_against_recv_timeout<K, G>(expect: ChannelError, setup: impl Fn() -> (In<i32>, K))
+    where
+        K: FnOnce() -> G,
+    {
+        for k in 0..2000 {
+            let (i, wake) = setup();
+            let go = Arc::new(std::sync::Barrier::new(2));
+            let go2 = Arc::clone(&go);
+            let t = thread::spawn(move || {
+                go2.wait();
+                i.recv_timeout(Duration::from_secs(1))
+            });
+            go.wait();
+            let keep = wake();
+            assert_eq!(t.join().unwrap(), Err(expect), "iteration {k}");
+            drop(keep);
+        }
+    }
+
+    #[test]
+    fn no_lost_wakeup_when_last_connection_drops() {
+        race_wake_against_recv_timeout(ChannelError::Closed, || {
+            let (o, i) = channel::<i32>();
+            (i, move || drop(o))
+        });
+    }
+
+    #[test]
+    fn no_lost_wakeup_when_poisoned() {
+        race_wake_against_recv_timeout(ChannelError::Poisoned, || {
+            let (o, i) = channel::<i32>();
+            let connector = i.connector();
+            (i, move || {
+                connector.poison();
+                o
+            })
+        });
     }
 
     #[test]

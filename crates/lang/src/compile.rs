@@ -551,7 +551,10 @@ fn compile_kernel_actor(
             (DataShape::Struct { type_id: id }, fields, info.meta.any_mov)
         }
         arr @ TypeExpr::Array(..) => {
-            let (elem, ndims) = elem_kind_of(arr).expect("array type");
+            let (elem, ndims) = elem_kind_of(arr).ok_or(CompileError {
+                message: format!("kernel data type `{arr}` must be an integer/real array"),
+                pos: actor.pos,
+            })?;
             (
                 DataShape::Array { elem, ndims },
                 vec![DataField {
@@ -1353,6 +1356,35 @@ mod tests {
         ";
         let err = compile_source(src).unwrap_err();
         assert!(err.message.contains("exactly one"));
+    }
+
+    #[test]
+    fn rejects_kernel_data_array_of_non_numeric_elements() {
+        let src = "
+            type s is opencl struct (
+                integer [] worksize; integer [] groupsize;
+                in string [] input; out string [] output
+            )
+            type i is interface(in s requests)
+            stage home {
+                opencl actor K presents i {
+                    constructor() {}
+                    behaviour {
+                        receive req from requests;
+                        receive d from req.input;
+                        send d on req.output;
+                    }
+                }
+                boot {}
+            }
+        ";
+        let err = compile_source(src).unwrap_err();
+        assert!(
+            err.message.contains("integer/real array"),
+            "{}",
+            err.message
+        );
+        assert_eq!(err.pos.start.line, 8, "{err}");
     }
 
     #[test]

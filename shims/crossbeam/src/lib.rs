@@ -2,67 +2,56 @@
 //!
 //! The build environment has no network access to a crates registry, so
 //! the workspace patches `crossbeam` to this local shim. Only the
-//! [`channel`] module is provided, and only the subset the actor runtime
-//! uses: [`channel::bounded`] MPMC channels with rendezvous semantics at
-//! capacity 0, timeouts, and disconnect detection. The implementation is
+//! [`channel`] module is provided, and only what the actor runtime uses:
+//! [`channel::bounded`] MPMC channels with rendezvous semantics at
+//! capacity 0, deadlines, and disconnect detection. The implementation is
 //! a `VecDeque` under a `Mutex` with two `Condvar`s — not lock-free like
 //! the real crate, but semantically equivalent for the channel sizes the
 //! actor runtime creates (the paper's pipelines move a handful of large
 //! messages, not millions of small ones).
+//!
+//! # Beyond the crossbeam API: the wake generation
+//!
+//! The actor runtime keeps liveness state of its own next to each channel
+//! (connection counts and a poison flag), outside this channel's mutex,
+//! and needs a blocked peer to notice a change to it at once. Each channel
+//! therefore carries a *wake generation*, kept under its lock — the
+//! eventcount pattern:
+//!
+//! 1. the waiter reads [`channel::Receiver::generation`] (or the sender's),
+//! 2. checks its own liveness state, and
+//! 3. blocks in [`channel::Receiver::recv_unless_woken`] /
+//!    [`channel::Sender::send_unless_woken`] with that generation, which
+//!    park only while the generation is unchanged;
+//!
+//! while the notifier changes the liveness state first and then calls
+//! [`channel::Sender::wake`], which bumps the generation and notifies both
+//! condvars under the lock. A change that lands after step 2 either bumps
+//! the generation before step 3 takes the lock (the wait returns
+//! [`channel::WaitError::Woken`] without parking) or notifies the parked
+//! waiter; no wakeup is lost. Real crossbeam has no such hook, so the
+//! runtime cannot swap back to it without replacing this mechanism.
 
 pub mod channel {
-    //! Multi-producer multi-consumer channels (`crossbeam::channel` subset).
+    //! Multi-producer multi-consumer channels (`crossbeam::channel` subset
+    //! plus the wake generation described in the crate docs).
 
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+    use std::time::Instant;
 
-    /// Error returned by [`Sender::send`] when every receiver is gone;
-    /// carries the unsent message.
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Sender::send_timeout`]; carries the unsent
-    /// message.
-    pub enum SendTimeoutError<T> {
-        /// The deadline passed before the channel accepted the message.
-        Timeout(T),
-        /// Every receiver is gone.
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Debug for SendTimeoutError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                SendTimeoutError::Timeout(_) => f.write_str("SendTimeoutError::Timeout(..)"),
-                SendTimeoutError::Disconnected(_) => {
-                    f.write_str("SendTimeoutError::Disconnected(..)")
-                }
-            }
-        }
-    }
-
-    impl<T> fmt::Display for SendTimeoutError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                SendTimeoutError::Timeout(_) => f.write_str("send timed out"),
-                SendTimeoutError::Disconnected(_) => {
-                    f.write_str("sending on a disconnected channel")
-                }
-            }
-        }
+    /// Why [`Receiver::recv_unless_woken`] or [`Sender::send_unless_woken`]
+    /// returned without completing. Not part of the crossbeam API.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum WaitError {
+        /// The caller's deadline passed first.
+        Timeout,
+        /// The other side of the channel is gone.
+        Disconnected,
+        /// [`Sender::wake`] moved the wake generation past the one the
+        /// caller observed.
+        Woken,
     }
 
     /// Error returned by [`Receiver::try_recv`].
@@ -74,31 +63,26 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// No message arrived before the deadline.
-        Timeout,
-        /// The channel is empty and every sender is gone.
-        Disconnected,
-    }
-
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
-        /// Receivers currently blocked inside `recv_timeout` — the signal a
+        /// Receivers currently parked in `recv_unless_woken` — the signal a
         /// rendezvous (capacity 0) sender waits for.
         recv_waiting: usize,
+        /// Bumped by [`Sender::wake`]; waits that observed an older value
+        /// return [`WaitError::Woken`] instead of parking.
+        generation: u64,
     }
 
     struct Chan<T> {
         cap: usize,
         state: Mutex<State<T>>,
-        /// Signalled when space frees up, a receiver starts waiting, or the
-        /// receiver side disconnects.
+        /// Signalled when space frees up, a receiver starts waiting, the
+        /// receiver side disconnects, or the generation moves.
         send_cv: Condvar,
-        /// Signalled when a message arrives or the sender side disconnects.
+        /// Signalled when a message arrives, the sender side disconnects,
+        /// or the generation moves.
         recv_cv: Condvar,
     }
 
@@ -115,7 +99,7 @@ pub mod channel {
     }
 
     /// Create a bounded MPMC channel. Capacity 0 makes a rendezvous
-    /// channel: `send` blocks until a receiver is actively waiting.
+    /// channel: a send completes only once a receiver is actively waiting.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
             cap,
@@ -124,6 +108,7 @@ pub mod channel {
                 senders: 1,
                 receivers: 1,
                 recv_waiting: 0,
+                generation: 0,
             }),
             send_cv: Condvar::new(),
             recv_cv: Condvar::new(),
@@ -131,14 +116,31 @@ pub mod channel {
         (Sender { chan: chan.clone() }, Receiver { chan })
     }
 
+    impl<T> Chan<T> {
+        /// Lock the state. A thread that panicked while holding the lock
+        /// cannot have left it inconsistent — every critical section
+        /// makes single-step updates — so poisoning is ignored, which
+        /// also keeps the `Drop` impls from panicking.
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        fn generation(&self) -> u64 {
+            self.lock().generation
+        }
+    }
+
     impl<T> Sender<T> {
-        /// Block until the message is handed to the channel, or return it
-        /// in `Err` if every receiver has disconnected.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self.chan.state.lock().unwrap();
+        /// Block until the channel accepts the message, every receiver has
+        /// disconnected, or the wake generation differs from `seen` (read
+        /// earlier with [`Sender::generation`]). On failure the unsent
+        /// message comes back with the reason, which is never
+        /// [`WaitError::Timeout`]. Not part of the crossbeam API.
+        pub fn send_unless_woken(&self, value: T, seen: u64) -> Result<(), (T, WaitError)> {
+            let mut st = self.chan.lock();
             loop {
                 if st.receivers == 0 {
-                    return Err(SendError(value));
+                    return Err((value, WaitError::Disconnected));
                 }
                 // Rendezvous channels admit a message only once a receiver
                 // is parked waiting for it; buffered channels admit up to
@@ -153,37 +155,32 @@ pub mod channel {
                     self.chan.recv_cv.notify_one();
                     return Ok(());
                 }
-                st = self.chan.send_cv.wait(st).unwrap();
+                if st.generation != seen {
+                    return Err((value, WaitError::Woken));
+                }
+                st = self
+                    .chan
+                    .send_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
 
-        /// Like [`Sender::send`], but give up (returning the message in
-        /// [`SendTimeoutError::Timeout`]) if the channel has not accepted
-        /// it by the deadline.
-        pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-            let deadline = Instant::now() + timeout;
-            let mut st = self.chan.state.lock().unwrap();
-            loop {
-                if st.receivers == 0 {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                let admit = if self.chan.cap == 0 {
-                    st.queue.len() < st.recv_waiting
-                } else {
-                    st.queue.len() < self.chan.cap
-                };
-                if admit {
-                    st.queue.push_back(value);
-                    self.chan.recv_cv.notify_one();
-                    return Ok(());
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(SendTimeoutError::Timeout(value));
-                }
-                let (guard, _) = self.chan.send_cv.wait_timeout(st, deadline - now).unwrap();
-                st = guard;
-            }
+        /// The channel's current wake generation. Not part of the
+        /// crossbeam API.
+        pub fn generation(&self) -> u64 {
+            self.chan.generation()
+        }
+
+        /// Bump the wake generation and wake every blocked sender and
+        /// receiver: each wait that observed an older generation returns
+        /// [`WaitError::Woken`]. Call it *after* changing the state the
+        /// waiters check. Not part of the crossbeam API.
+        pub fn wake(&self) {
+            let mut st = self.chan.lock();
+            st.generation = st.generation.wrapping_add(1);
+            self.chan.recv_cv.notify_all();
+            self.chan.send_cv.notify_all();
         }
 
         /// Whether `other` sends into the same underlying channel.
@@ -193,10 +190,17 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
-        /// Wait up to `timeout` for a message.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut st = self.chan.state.lock().unwrap();
+        /// Block until a message arrives, every sender has disconnected,
+        /// `deadline` passes (`None` never does), or the wake generation
+        /// differs from `seen` (read earlier with [`Receiver::generation`]).
+        /// A queued message wins over every other outcome. Not part of the
+        /// crossbeam API.
+        pub fn recv_unless_woken(
+            &self,
+            seen: u64,
+            deadline: Option<Instant>,
+        ) -> Result<T, WaitError> {
+            let mut st = self.chan.lock();
             loop {
                 if let Some(v) = st.queue.pop_front() {
                     // A slot freed (buffered) or the handoff completed
@@ -205,24 +209,48 @@ pub mod channel {
                     return Ok(v);
                 }
                 if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
+                    return Err(WaitError::Disconnected);
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
+                if st.generation != seen {
+                    return Err(WaitError::Woken);
                 }
+                let timeout = match deadline {
+                    None => None,
+                    Some(d) => match d.checked_duration_since(Instant::now()) {
+                        Some(left) if !left.is_zero() => Some(left),
+                        _ => return Err(WaitError::Timeout),
+                    },
+                };
                 st.recv_waiting += 1;
                 // A receiver is now parked: rendezvous senders may proceed.
                 self.chan.send_cv.notify_all();
-                let (guard, _) = self.chan.recv_cv.wait_timeout(st, deadline - now).unwrap();
-                st = guard;
+                st = match timeout {
+                    None => self
+                        .chan
+                        .recv_cv
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner),
+                    Some(left) => {
+                        self.chan
+                            .recv_cv
+                            .wait_timeout(st, left)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                };
                 st.recv_waiting -= 1;
             }
         }
 
+        /// The channel's current wake generation. Not part of the
+        /// crossbeam API.
+        pub fn generation(&self) -> u64 {
+            self.chan.generation()
+        }
+
         /// Take a message if one is already queued.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self.chan.state.lock().unwrap();
+            let mut st = self.chan.lock();
             match st.queue.pop_front() {
                 Some(v) => {
                     self.chan.send_cv.notify_one();
@@ -236,7 +264,7 @@ pub mod channel {
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Sender<T> {
-            self.chan.state.lock().unwrap().senders += 1;
+            self.chan.lock().senders += 1;
             Sender {
                 chan: self.chan.clone(),
             }
@@ -245,7 +273,7 @@ pub mod channel {
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Receiver<T> {
-            self.chan.state.lock().unwrap().receivers += 1;
+            self.chan.lock().receivers += 1;
             Receiver {
                 chan: self.chan.clone(),
             }
@@ -254,7 +282,7 @@ pub mod channel {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            let mut st = self.chan.state.lock().unwrap();
+            let mut st = self.chan.lock();
             st.senders -= 1;
             if st.senders == 0 {
                 self.chan.recv_cv.notify_all();
@@ -264,7 +292,7 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut st = self.chan.state.lock().unwrap();
+            let mut st = self.chan.lock();
             st.receivers -= 1;
             if st.receivers == 0 {
                 self.chan.send_cv.notify_all();
@@ -290,11 +318,20 @@ pub mod channel {
         use std::thread;
         use std::time::Duration;
 
+        fn send<T>(tx: &Sender<T>, value: T) -> Result<(), WaitError> {
+            tx.send_unless_woken(value, tx.generation())
+                .map_err(|(_, e)| e)
+        }
+
+        fn recv<T>(rx: &Receiver<T>) -> Result<T, WaitError> {
+            rx.recv_unless_woken(rx.generation(), None)
+        }
+
         #[test]
         fn buffered_fifo() {
             let (tx, rx) = bounded(8);
             for i in 0..8 {
-                tx.send(i).unwrap();
+                send(&tx, i).unwrap();
             }
             for i in 0..8 {
                 assert_eq!(rx.try_recv(), Ok(i));
@@ -305,13 +342,14 @@ pub mod channel {
         #[test]
         fn disconnect_is_observed() {
             let (tx, rx) = bounded(1);
-            tx.send(5i32).unwrap();
+            send(&tx, 5i32).unwrap();
             drop(tx);
             assert_eq!(rx.try_recv(), Ok(5));
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+            assert_eq!(recv(&rx), Err(WaitError::Disconnected));
             let (tx2, rx2) = bounded::<i32>(1);
             drop(rx2);
-            assert!(tx2.send(1).is_err());
+            assert_eq!(send(&tx2, 1), Err(WaitError::Disconnected));
         }
 
         #[test]
@@ -319,20 +357,68 @@ pub mod channel {
             let (tx, rx) = bounded(0);
             let start = Instant::now();
             let h = thread::spawn(move || {
-                tx.send(7u32).unwrap();
+                send(&tx, 7u32).unwrap();
                 start.elapsed()
             });
             thread::sleep(Duration::from_millis(50));
-            assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(7));
+            assert_eq!(recv(&rx), Ok(7));
             let sent_after = h.join().unwrap();
             assert!(sent_after >= Duration::from_millis(45), "{sent_after:?}");
         }
 
         #[test]
-        fn recv_timeout_times_out() {
+        fn recv_deadline_times_out() {
             let (_tx, rx) = bounded::<u32>(1);
-            let err = rx.recv_timeout(Duration::from_millis(5)).unwrap_err();
-            assert_eq!(err, RecvTimeoutError::Timeout);
+            let deadline = Instant::now() + Duration::from_millis(5);
+            assert_eq!(
+                rx.recv_unless_woken(rx.generation(), Some(deadline)),
+                Err(WaitError::Timeout)
+            );
+            assert!(Instant::now() >= deadline);
+        }
+
+        #[test]
+        fn queued_message_wins_over_a_stale_generation() {
+            let (tx, rx) = bounded(1);
+            let seen = rx.generation();
+            send(&tx, 3u8).unwrap();
+            tx.wake();
+            assert_eq!(rx.recv_unless_woken(seen, None), Ok(3));
+            assert_eq!(rx.recv_unless_woken(seen, None), Err(WaitError::Woken));
+        }
+
+        #[test]
+        fn wake_between_generation_read_and_park_is_not_lost() {
+            // The eventcount window: the wake lands after the waiter read
+            // the generation but before it took the lock to park.
+            let (tx, rx) = bounded::<u8>(0);
+            let seen = rx.generation();
+            tx.wake();
+            assert_eq!(rx.recv_unless_woken(seen, None), Err(WaitError::Woken));
+            let seen = tx.generation();
+            tx.wake();
+            assert_eq!(tx.send_unless_woken(1, seen), Err((1, WaitError::Woken)));
+        }
+
+        #[test]
+        fn wake_releases_parked_receiver() {
+            let (tx, rx) = bounded::<u8>(1);
+            let seen = rx.generation();
+            let h = thread::spawn(move || rx.recv_unless_woken(seen, None));
+            thread::sleep(Duration::from_millis(20));
+            tx.wake();
+            assert_eq!(h.join().unwrap(), Err(WaitError::Woken));
+        }
+
+        #[test]
+        fn wake_releases_parked_rendezvous_sender() {
+            let (tx, _rx) = bounded::<u8>(0);
+            let parked = tx.clone();
+            let seen = tx.generation();
+            let h = thread::spawn(move || parked.send_unless_woken(1, seen));
+            thread::sleep(Duration::from_millis(20));
+            tx.wake();
+            assert_eq!(h.join().unwrap(), Err((1, WaitError::Woken)));
         }
     }
 }
