@@ -1,4 +1,5 @@
-//! Regenerate Figures 3a–3e of the paper (plus the movability ablation).
+//! Regenerate Figures 3a–3e of the paper (plus the movability ablation),
+//! or run one of the harness's robustness and scheduling modes.
 //!
 //! ```text
 //! cargo run --release -p bench --bin figures            # all, bench sizes
@@ -6,6 +7,8 @@
 //! cargo run --release -p bench --bin figures -- --paper-scale
 //! cargo run --release -p bench --bin figures -- --json  # machine-readable
 //! cargo run --release -p bench --bin figures -- fig3c --trace lud.json
+//! cargo run --release -p bench --bin figures -- chaos --seed 7
+//! cargo run --release -p bench --bin figures -- serve --tenants 8
 //! ```
 //!
 //! `--trace <path>` records every run of the selected figures into one
@@ -15,112 +18,213 @@
 //! (unnormalised) per-run segment totals are printed to stderr; the bars
 //! of each figure are those same totals, normalised.
 //!
-//! `--chaos-seed <N>` runs chaos mode instead of the figures: the five
-//! applications under the seed-`N` deterministic fault schedule plus a
-//! permanent device-loss failover scenario. Exits non-zero if any run
-//! fails or diverges from its fault-free reference.
+//! Subcommands replace the figures; each exits 0 only when its gates
+//! hold, and 1 otherwise:
 //!
-//! `--kill-seed <N>` runs kill-chaos mode: the five applications under
-//! the seed-`N` deterministic actor-kill schedule. Killed actors are
-//! restarted by the VM's supervisor from their checkpoints; the run
-//! exits non-zero if any output diverges from its fault-free reference
-//! or any kill is not matched by an `ActorExit`/`Restart` pair in the
-//! trace.
+//! * `chaos` — the five applications under the seed-`N` deterministic
+//!   fault schedule plus a permanent device-loss failover scenario; a
+//!   failed run or a divergence from the fault-free reference fails.
+//! * `kill-chaos` — the five applications under the seed-`N` actor-kill
+//!   schedule. Killed actors are restarted by the VM's supervisor from
+//!   their checkpoints; every output must match its fault-free reference
+//!   and every kill must be matched by an `ActorExit`/`Restart` pair.
+//! * `sdc` — the five applications under a seed-`N` silent-corruption
+//!   schedule on private zero-origin device lanes (gating 100% detection,
+//!   byte-identical outputs *and* virtual clocks, and positive repair
+//!   accounting), plus a straggler workload comparing hedged vs unhedged
+//!   tail latency over `--tenants` tenants. Writes `BENCH_8.json`.
+//! * `serve` — three mixed-application workloads driving an open-loop
+//!   load at ~2× the admission watermark with seed-`N` kill-chaos in half
+//!   the `--tenants` tenants; every chaos-free tenant's output and
+//!   virtual clock must match its solo reference. Writes `BENCH_7.json`.
+//! * `coexec` — matmul and mandelbrot problem-size sweeps comparing each
+//!   single device against the static min-makespan NDRange split, plus
+//!   lud and docrank chains with and without fused dispatch batching
+//!   (`--quick`: a two-point sweep for CI). Any output divergence, a
+//!   sweep without a crossover, or batching that saves less than 2× of
+//!   lud's charged launch overhead fails. Writes `BENCH_9.json`.
 //!
-//! `--wallclock` runs the wall-clock engine comparison instead of the
-//! figures: all five applications on the stack and native execution
-//! engines, reporting real host time, interpreted kernel ops/sec, the
-//! native-over-stack speedup, and which engine actually executed each
-//! run (the trace `engine` tag), writing the machine-readable result to
-//! `BENCH_6.json` (`--wallclock-out <path>` overrides — pass it to keep
-//! the checked-in three-engine record; `--repeats <N>` sets runs per
-//! engine, default 3). Exits non-zero when the engines disagree on any
-//! app's output or virtual clock.
-//!
-//! `--sdc-seed <N>` runs SDC mode instead of the figures: the five
-//! applications under a seed-`N` silent-corruption schedule on private
-//! zero-origin device lanes (gating 100% detection, byte-identical
-//! outputs *and* virtual clocks, and positive repair accounting), plus
-//! a straggler workload comparing hedged vs unhedged tail latency
-//! (`--tenants <N>` tenants, default 6). Writes the machine-readable
-//! result to `BENCH_8.json` (`--sdc-out <path>` overrides) and exits
-//! non-zero when any gate fails.
-//!
-//! `--coexec` runs the proof-guided co-execution bench instead of the
-//! figures: matmul and mandelbrot problem-size sweeps comparing each
-//! single device against the static min-makespan NDRange split
-//! (reporting the crossover size where co-execution starts to win),
-//! plus lud and docrank dispatch chains with and without fused
-//! dispatch batching (reporting the charged-launch-overhead reduction).
-//! Writes the machine-readable result to `BENCH_9.json` (`--coexec-out
-//! <path>` overrides; `--coexec-quick` runs a reduced two-point sweep
-//! for CI). Exits non-zero when any co-executed or batched run's output
-//! diverges from its single-device reference, no crossover is found, or
-//! batching saves less than 2× of lud's charged launch overhead.
-//!
-//! `--serve` runs the multi-tenant serving bench instead of the figures:
-//! three mixed-application workloads drive an open-loop load at ~2× the
-//! admission watermark with seeded kill-chaos in half the tenants
-//! (`--tenants <N>` tenants per workload, default 6; `--serve-seed <N>`
-//! kill seed, default 1), writing requests/sec, p50/p99 latency,
-//! eviction counts and outcome tallies to `BENCH_7.json`
-//! (`--serve-out <path>` overrides). Exits non-zero when any chaos-free
-//! tenant's output or virtual clock diverges from its solo reference.
+//! A flag the chosen command does not read, an unknown or removed flag,
+//! or a missing or malformed value exits 2 with the usage text. Host
+//! wall-clock time is measured by the separate `perfbench/` benchmark,
+//! not here.
 
 use bench::figures::{self, ALL};
-use bench::{chaos, coexec, sdc, serve_bench, wallclock, Sizes, TraceSink};
+use bench::{chaos, coexec, sdc, serve_bench, Sizes, TraceSink};
+use std::process::exit;
 
-fn run_coexec_mode(sizes: &Sizes, quick: bool, out_path: &str) -> ! {
-    eprintln!(
-        "coexec mode: {} sweep",
-        if quick { "quick (reduced)" } else { "full" }
-    );
-    match coexec::run_coexec(sizes, quick) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if let Err(e) = std::fs::write(out_path, report.to_json()) {
-                eprintln!("error: writing {out_path}: {e}");
-                std::process::exit(1);
+const USAGE: &str = "\
+usage: figures [FIGURE...] [--paper-scale] [--json] [--trace PATH]
+       figures chaos      [--seed N] [--paper-scale]
+       figures kill-chaos [--seed N] [--paper-scale]
+       figures sdc        [--seed N] [--tenants N] [--out PATH] [--paper-scale]
+       figures serve      [--seed N] [--tenants N] [--out PATH]
+       figures coexec     [--quick] [--out PATH] [--paper-scale]
+
+FIGURE is fig3a..fig3e or ablation (default: all). --seed defaults to 1,
+--tenants to 6 (at least 2); --out defaults to BENCH_8.json (sdc),
+BENCH_7.json (serve) or BENCH_9.json (coexec).";
+
+/// Every flag any command reads.
+const FLAGS: [&str; 7] = [
+    "--seed",
+    "--tenants",
+    "--out",
+    "--quick",
+    "--paper-scale",
+    "--json",
+    "--trace",
+];
+
+/// What one invocation asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// Print the named figures (all of them, plus the ablation, when
+    /// `names` is empty).
+    Figures {
+        names: Vec<String>,
+        paper: bool,
+        json: bool,
+        trace: Option<String>,
+    },
+    Chaos {
+        seed: u64,
+        paper: bool,
+    },
+    KillChaos {
+        seed: u64,
+        paper: bool,
+    },
+    Sdc {
+        seed: u64,
+        tenants: usize,
+        out: String,
+        paper: bool,
+    },
+    Serve {
+        seed: u64,
+        tenants: usize,
+        out: String,
+    },
+    Coexec {
+        quick: bool,
+        out: String,
+        paper: bool,
+    },
+}
+
+/// Parse the arguments after the program name into a [`Command`], or an
+/// error message for the usage text.
+fn parse(args: &[String]) -> Result<Command, String> {
+    let (mode, rest) = match args.first().map(String::as_str) {
+        Some(m @ ("chaos" | "kill-chaos" | "sdc" | "serve" | "coexec")) => (m, &args[1..]),
+        _ => ("figures", args),
+    };
+    let reads: &[&str] = match mode {
+        "figures" => &["--paper-scale", "--json", "--trace"],
+        "chaos" | "kill-chaos" => &["--seed", "--paper-scale"],
+        "sdc" => &["--seed", "--tenants", "--out", "--paper-scale"],
+        "serve" => &["--seed", "--tenants", "--out"],
+        _ /* coexec */ => &["--quick", "--out", "--paper-scale"],
+    };
+    let (mut seed, mut tenants, mut out, mut trace) = (1u64, 6usize, None, None);
+    let (mut quick, mut paper, mut json) = (false, false, false);
+    let mut names = Vec::new();
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        let a = arg.as_str();
+        if !a.starts_with("--") {
+            if mode != "figures" {
+                return Err(format!("`{mode}` takes no argument `{a}`"));
             }
-            eprintln!("coexec: results written to {out_path}");
-            if !report.all_consistent() {
-                eprintln!(
-                    "error: a co-executed or batched run diverged from its \
-                     single-device reference, a sweep found no crossover, or \
-                     batching saved less than the required launch overhead"
-                );
-                std::process::exit(1);
+            if a != "ablation" && !ALL.iter().any(|(n, _)| *n == a) {
+                return Err(format!("unknown figure `{a}`"));
             }
-            std::process::exit(0);
+            names.push(arg.clone());
+            continue;
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+        if !FLAGS.contains(&a) {
+            return Err(format!("unknown flag `{a}`"));
         }
+        if !reads.contains(&a) {
+            return Err(format!("`{a}` does not apply to `{mode}`"));
+        }
+        let mut value = || it.next().ok_or(format!("`{a}` requires a value"));
+        match a {
+            "--seed" => {
+                seed = value()?
+                    .parse()
+                    .map_err(|_| "`--seed` requires an integer".to_string())?
+            }
+            "--tenants" => {
+                tenants = match value()?.parse() {
+                    Ok(n) if n >= 2 => n,
+                    _ => return Err("`--tenants` requires an integer >= 2".into()),
+                }
+            }
+            "--out" => out = Some(value()?.clone()),
+            "--trace" => trace = Some(value()?.clone()),
+            "--quick" => quick = true,
+            "--paper-scale" => paper = true,
+            "--json" => json = true,
+            _ => unreachable!("`{a}` is in FLAGS but has no arm"),
+        }
+    }
+    let out = |default: &str| out.unwrap_or_else(|| default.to_string());
+    Ok(match mode {
+        "figures" => Command::Figures {
+            names,
+            paper,
+            json,
+            trace,
+        },
+        "chaos" => Command::Chaos { seed, paper },
+        "kill-chaos" => Command::KillChaos { seed, paper },
+        "sdc" => Command::Sdc {
+            seed,
+            tenants,
+            out: out("BENCH_8.json"),
+            paper,
+        },
+        "serve" => Command::Serve {
+            seed,
+            tenants,
+            out: out("BENCH_7.json"),
+        },
+        _ => Command::Coexec {
+            quick,
+            out: out("BENCH_9.json"),
+            paper,
+        },
+    })
+}
+
+fn sizes(paper: bool) -> Sizes {
+    if paper {
+        Sizes::paper()
+    } else {
+        Sizes::bench()
     }
 }
 
-fn run_wallclock_mode(sizes: &Sizes, sizes_label: &str, repeats: usize, out_path: &str) -> ! {
-    eprintln!("wall-clock mode: {sizes_label} sizes, {repeats} runs per engine");
-    match wallclock::run_wallclock(sizes, sizes_label, repeats) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if let Err(e) = std::fs::write(out_path, report.to_json()) {
-                eprintln!("error: writing {out_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wallclock: results written to {out_path}");
-            if !report.all_consistent() {
-                eprintln!("error: engines disagreed on output or virtual clock");
-                std::process::exit(1);
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+/// Print a mode's report `(text, json, gates hold)`, write its JSON to
+/// `out`, and exit 0 only when the report's gates hold.
+fn finish(mode: &str, out: &str, gate: &str, report: Result<(String, String, bool), String>) -> ! {
+    let (text, json, ok) = report.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(1)
+    });
+    print!("{text}");
+    if let Err(e) = std::fs::write(out, json) {
+        eprintln!("error: writing {out}: {e}");
+        exit(1);
     }
+    eprintln!("{mode}: results written to {out}");
+    if !ok {
+        eprintln!("error: {gate}");
+        exit(1);
+    }
+    exit(0)
 }
 
 fn run_chaos_mode(seed: u64, sizes: &Sizes) -> ! {
@@ -148,7 +252,7 @@ fn run_chaos_mode(seed: u64, sizes: &Sizes) -> ! {
             failed = true;
         }
     }
-    std::process::exit(if failed { 1 } else { 0 });
+    exit(i32::from(failed))
 }
 
 fn run_kill_chaos_mode(seed: u64, sizes: &Sizes) -> ! {
@@ -169,225 +273,15 @@ fn run_kill_chaos_mode(seed: u64, sizes: &Sizes) -> ! {
             failed = true;
         }
     }
-    std::process::exit(if failed { 1 } else { 0 });
+    exit(i32::from(failed))
 }
 
-fn run_sdc_mode(seed: u64, sizes: &Sizes, tenants: usize, out_path: &str) -> ! {
-    eprintln!("sdc mode: seed {seed}, {tenants} straggler tenants");
-    match sdc::run_sdc(seed, sizes, tenants) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if let Err(e) = std::fs::write(out_path, report.to_json()) {
-                eprintln!("error: writing {out_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("sdc: results written to {out_path}");
-            if !report.all_consistent() {
-                eprintln!(
-                    "error: an injected corruption went undetected, a recovered run \
-                     diverged from its fault-free reference, or hedging failed to \
-                     improve the straggler p99"
-                );
-                std::process::exit(1);
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_serve_mode(tenants: usize, seed: u64, out_path: &str) -> ! {
-    eprintln!("serving mode: {tenants} tenants per workload, kill seed {seed}");
-    match serve_bench::run_serve(tenants, seed) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if let Err(e) = std::fs::write(out_path, report.to_json()) {
-                eprintln!("error: writing {out_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("serve: results written to {out_path}");
-            if !report.all_consistent() {
-                eprintln!(
-                    "error: a chaos-free tenant diverged from its solo reference \
-                     (or a workload completed nothing)"
-                );
-                std::process::exit(1);
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut args: Vec<String> = Vec::new();
-    let mut trace_path: Option<String> = None;
-    let mut chaos_seed: Option<u64> = None;
-    let mut kill_seed: Option<u64> = None;
-    let mut wallclock_mode = false;
-    let mut wallclock_out = "BENCH_6.json".to_string();
-    let mut repeats = 3usize;
-    let mut serve_mode = false;
-    let mut serve_tenants = 6usize;
-    let mut serve_seed = 1u64;
-    let mut serve_out = "BENCH_7.json".to_string();
-    let mut sdc_seed: Option<u64> = None;
-    let mut sdc_out = "BENCH_8.json".to_string();
-    let mut coexec_mode = false;
-    let mut coexec_quick = false;
-    let mut coexec_out = "BENCH_9.json".to_string();
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--wallclock" {
-            wallclock_mode = true;
-        } else if a == "--coexec" {
-            coexec_mode = true;
-        } else if a == "--coexec-quick" {
-            coexec_mode = true;
-            coexec_quick = true;
-        } else if a == "--coexec-out" {
-            match it.next() {
-                Some(p) => coexec_out = p,
-                None => {
-                    eprintln!("error: --coexec-out requires an output file path");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--wallclock-out" {
-            match it.next() {
-                Some(p) => wallclock_out = p,
-                None => {
-                    eprintln!("error: --wallclock-out requires an output file path");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--repeats" {
-            match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => repeats = n,
-                _ => {
-                    eprintln!("error: --repeats requires a positive integer");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--serve" {
-            serve_mode = true;
-        } else if a == "--tenants" {
-            match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 2 => serve_tenants = n,
-                _ => {
-                    eprintln!("error: --tenants requires an integer >= 2");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--serve-seed" {
-            match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => serve_seed = s,
-                None => {
-                    eprintln!("error: --serve-seed requires an integer seed");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--sdc-seed" {
-            match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => sdc_seed = Some(s),
-                None => {
-                    eprintln!("error: --sdc-seed requires an integer seed");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--sdc-out" {
-            match it.next() {
-                Some(p) => sdc_out = p,
-                None => {
-                    eprintln!("error: --sdc-out requires an output file path");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--serve-out" {
-            match it.next() {
-                Some(p) => serve_out = p,
-                None => {
-                    eprintln!("error: --serve-out requires an output file path");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--trace" {
-            match it.next() {
-                Some(p) => trace_path = Some(p),
-                None => {
-                    eprintln!("error: --trace requires an output file path");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--chaos-seed" {
-            match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => chaos_seed = Some(s),
-                None => {
-                    eprintln!("error: --chaos-seed requires an integer seed");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--kill-seed" {
-            match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => kill_seed = Some(s),
-                None => {
-                    eprintln!("error: --kill-seed requires an integer seed");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            args.push(a);
-        }
-    }
-    let paper = args.iter().any(|a| a == "--paper-scale");
-    let json = args.iter().any(|a| a == "--json");
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
-    let known: Vec<&str> = ALL.iter().map(|(n, _)| *n).chain(["ablation"]).collect();
-    if let Some(bad) = wanted.iter().find(|w| !known.contains(w)) {
-        eprintln!(
-            "error: unknown figure `{bad}`; valid names: {}",
-            known.join(", ")
-        );
-        std::process::exit(2);
-    }
-    let sizes = if paper {
-        Sizes::paper()
-    } else {
-        Sizes::bench()
-    };
-    if let Some(seed) = chaos_seed {
-        run_chaos_mode(seed, &sizes);
-    }
-    if let Some(seed) = kill_seed {
-        run_kill_chaos_mode(seed, &sizes);
-    }
-    if let Some(seed) = sdc_seed {
-        run_sdc_mode(seed, &sizes, serve_tenants, &sdc_out);
-    }
-    if coexec_mode {
-        run_coexec_mode(&sizes, coexec_quick, &coexec_out);
-    }
-    if wallclock_mode {
-        let label = if paper { "paper" } else { "bench" };
-        run_wallclock_mode(&sizes, label, repeats, &wallclock_out);
-    }
-    if serve_mode {
-        run_serve_mode(serve_tenants, serve_seed, &serve_out);
-    }
+fn run_figures(names: &[String], paper: bool, json: bool, trace_path: Option<String>) {
     if paper {
         eprintln!("note: paper-scale inputs run every work-item through an interpreter; expect long runtimes");
     }
+    let sizes = sizes(paper);
+    let wanted = |name: &str| names.is_empty() || names.iter().any(|n| n == name);
     let export = if trace_path.is_some() {
         TraceSink::new()
     } else {
@@ -395,7 +289,7 @@ fn main() {
     };
     let mut out = Vec::new();
     for (name, f) in ALL {
-        if !wanted.is_empty() && !wanted.contains(&name) {
+        if !wanted(name) {
             continue;
         }
         let fig = f(&sizes, &export);
@@ -405,7 +299,7 @@ fn main() {
             println!("{}", fig.render());
         }
     }
-    if wanted.is_empty() || wanted.contains(&"ablation") {
+    if wanted("ablation") {
         let fig = figures::ablation_mov(&sizes, &export);
         if json {
             out.push(fig);
@@ -421,7 +315,7 @@ fn main() {
         let events = export.events();
         if let Err(e) = std::fs::write(&path, trace::chrome_json(&events)) {
             eprintln!("error: writing trace to {path}: {e}");
-            std::process::exit(1);
+            exit(1);
         }
         eprintln!(
             "trace: {} events written to {path} (open in Perfetto)",
@@ -452,6 +346,172 @@ fn main() {
                 s.vm_ns,
                 s.total_ns()
             );
+        }
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{USAGE}");
+        exit(2)
+    });
+    match cmd {
+        Command::Figures {
+            names,
+            paper,
+            json,
+            trace,
+        } => run_figures(&names, paper, json, trace),
+        Command::Chaos { seed, paper } => run_chaos_mode(seed, &sizes(paper)),
+        Command::KillChaos { seed, paper } => run_kill_chaos_mode(seed, &sizes(paper)),
+        Command::Sdc {
+            seed,
+            tenants,
+            out,
+            paper,
+        } => {
+            eprintln!("sdc mode: seed {seed}, {tenants} straggler tenants");
+            finish(
+                "sdc",
+                &out,
+                "an injected corruption went undetected, a recovered run diverged \
+                 from its fault-free reference, or hedging failed to improve the \
+                 straggler p99",
+                sdc::run_sdc(seed, &sizes(paper), tenants)
+                    .map(|r| (r.render(), r.to_json(), r.all_consistent())),
+            )
+        }
+        Command::Serve { seed, tenants, out } => {
+            eprintln!("serving mode: {tenants} tenants per workload, kill seed {seed}");
+            finish(
+                "serve",
+                &out,
+                "a chaos-free tenant diverged from its solo reference (or a \
+                 workload completed nothing)",
+                serve_bench::run_serve(tenants, seed)
+                    .map(|r| (r.render(), r.to_json(), r.all_consistent())),
+            )
+        }
+        Command::Coexec { quick, out, paper } => {
+            eprintln!(
+                "coexec mode: {} sweep",
+                if quick { "quick (reduced)" } else { "full" }
+            );
+            finish(
+                "coexec",
+                &out,
+                "a co-executed or batched run diverged from its single-device \
+                 reference, a sweep found no crossover, or batching saved less \
+                 than the required launch overhead",
+                coexec::run_coexec(&sizes(paper), quick)
+                    .map(|r| (r.render(), r.to_json(), r.all_consistent())),
+            )
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn p(args: &str) -> Result<Command, String> {
+        let v: Vec<String> = args.split_whitespace().map(String::from).collect();
+        parse(&v)
+    }
+
+    #[test]
+    fn ci_invocations_parse_to_their_commands() {
+        assert_eq!(
+            p("chaos --seed 1"),
+            Ok(Command::Chaos {
+                seed: 1,
+                paper: false
+            })
+        );
+        assert_eq!(
+            p("kill-chaos --seed 1"),
+            Ok(Command::KillChaos {
+                seed: 1,
+                paper: false
+            })
+        );
+        assert_eq!(
+            p("serve --tenants 8 --seed 1 --out BENCH_7.json"),
+            Ok(Command::Serve {
+                seed: 1,
+                tenants: 8,
+                out: "BENCH_7.json".into()
+            })
+        );
+        assert_eq!(
+            p("sdc --seed 1 --out BENCH_8.json"),
+            Ok(Command::Sdc {
+                seed: 1,
+                tenants: 6,
+                out: "BENCH_8.json".into(),
+                paper: false
+            })
+        );
+        assert_eq!(
+            p("coexec --quick --out BENCH_9.json"),
+            Ok(Command::Coexec {
+                quick: true,
+                out: "BENCH_9.json".into(),
+                paper: false
+            })
+        );
+    }
+
+    #[test]
+    fn figures_is_the_default_command() {
+        assert_eq!(
+            p(""),
+            Ok(Command::Figures {
+                names: vec![],
+                paper: false,
+                json: false,
+                trace: None
+            })
+        );
+        assert_eq!(
+            p("--json fig3c ablation --paper-scale --trace lud.json"),
+            Ok(Command::Figures {
+                names: vec!["fig3c".into(), "ablation".into()],
+                paper: true,
+                json: true,
+                trace: Some("lud.json".into())
+            })
+        );
+        assert_eq!(
+            p("coexec"),
+            Ok(Command::Coexec {
+                quick: false,
+                out: "BENCH_9.json".into(),
+                paper: false
+            })
+        );
+    }
+
+    #[test]
+    fn unknown_removed_missing_and_inapplicable_flags_are_errors() {
+        for bad in [
+            "--wallclock",
+            "--chaos-seed 1",
+            "--bogus",
+            "chaos --tenants 3",
+            "fig9",
+            "chaos fig3a",
+            "chaos --seed",
+            "chaos --seed x",
+            "serve --tenants 1",
+            "serve --paper-scale",
+            "sdc --out",
+            "coexec --seed 1",
+            "--trace",
+            "--seed 1",
+        ] {
+            assert!(p(bad).is_err(), "`{bad}` must not parse");
         }
     }
 }

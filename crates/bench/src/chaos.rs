@@ -36,6 +36,7 @@ use crate::TraceSink;
 use ensemble_ocl::{device_matrix, DeviceSel, ProfileSink};
 use ensemble_vm::VmRuntime;
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault, KillMode};
+use oclsim::CoexecConfig;
 use trace::SpanKind;
 
 /// Serialises chaos runs: injectors attach to the process-global device
@@ -116,7 +117,8 @@ fn count(events: &[trace::TraceEvent], kind: SpanKind) -> usize {
 }
 
 /// Run one compiled Ensemble source with `injector` attached to the GPU
-/// matrix entry (queue + context), recording into a fresh trace sink.
+/// matrix entry (queue + context) and co-execution set to `coexec`,
+/// recording into a fresh trace sink.
 /// Returns the program's print output and the trace events. The injector
 /// is detached before returning, on success and on error alike.
 ///
@@ -125,6 +127,7 @@ fn count(events: &[trace::TraceEvent], kind: SpanKind) -> usize {
 fn traced_gpu_run(
     src: &str,
     injector: &FaultInjector,
+    coexec: &CoexecConfig,
 ) -> Result<(Vec<String>, Vec<trace::TraceEvent>), String> {
     let module = ensemble_analysis::compile_source(src, &ensemble_analysis::Options::default())
         .map_err(|e| e.to_string())?;
@@ -136,7 +139,9 @@ fn traced_gpu_run(
         .map_err(|e| e.to_string())?;
     entry.queue.attach_faults(injector.clone());
     entry.context.attach_faults(injector.clone());
-    let result = VmRuntime::with_profile(module, profile).run();
+    let vm = VmRuntime::with_profile(module, profile);
+    vm.set_coexec(coexec.clone());
+    let result = vm.run();
     entry.queue.attach_faults(FaultInjector::disabled());
     entry.context.attach_faults(FaultInjector::disabled());
     let report = result.map_err(|e| e.to_string())?;
@@ -144,13 +149,19 @@ fn traced_gpu_run(
 }
 
 /// Run one `.ens` source clean, then under `plan`, and compare outputs.
-pub fn run_app_chaos(app: &str, src: &str, plan: FaultPlan) -> Result<ChaosOutcome, String> {
+/// Both runs use the co-execution config `coexec`.
+pub fn run_app_chaos(
+    app: &str,
+    src: &str,
+    plan: FaultPlan,
+    coexec: &CoexecConfig,
+) -> Result<ChaosOutcome, String> {
     let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, _) = traced_gpu_run(src, &FaultInjector::disabled())
+    let (reference, _) = traced_gpu_run(src, &FaultInjector::disabled(), coexec)
         .map_err(|e| format!("{app}: reference run failed: {e}"))?;
     let injector = FaultInjector::new(plan);
-    let (output, events) =
-        traced_gpu_run(src, &injector).map_err(|e| format!("{app}: chaos run failed: {e}"))?;
+    let (output, events) = traced_gpu_run(src, &injector, coexec)
+        .map_err(|e| format!("{app}: chaos run failed: {e}"))?;
     Ok(ChaosOutcome {
         app: app.to_string(),
         injected: injector.injected_count(),
@@ -185,7 +196,7 @@ pub fn run_chaos(seed: u64, sizes: &Sizes) -> Result<Vec<ChaosOutcome>, String> 
     let mut outcomes = Vec::with_capacity(apps.len());
     for (i, (app, src)) in apps.iter().enumerate() {
         let plan = chaos_plan(seed.wrapping_add(i as u64), 13);
-        outcomes.push(run_app_chaos(app, src, plan)?);
+        outcomes.push(run_app_chaos(app, src, plan, &CoexecConfig::default())?);
     }
     Ok(outcomes)
 }
@@ -216,7 +227,7 @@ pub fn run_kill_chaos(seed: u64, sizes: &Sizes) -> Result<Vec<ChaosOutcome>, Str
     let mut outcomes = Vec::with_capacity(apps.len());
     for (i, (app, src)) in apps.iter().enumerate() {
         let plan = kill_plan(seed.wrapping_add(i as u64), 17, 3);
-        outcomes.push(run_app_chaos(app, src, plan)?);
+        outcomes.push(run_app_chaos(app, src, plan, &CoexecConfig::default())?);
     }
     Ok(outcomes)
 }
@@ -378,8 +389,10 @@ mod tests {
     fn empty_plan_leaves_the_trace_byte_identical() {
         let src = apps_ens::matmul(16, "GPU");
         let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (out_a, ev_a) = traced_gpu_run(&src, &FaultInjector::disabled()).unwrap();
-        let (out_b, ev_b) = traced_gpu_run(&src, &FaultInjector::new(FaultPlan::new())).unwrap();
+        let cfg = CoexecConfig::default();
+        let (out_a, ev_a) = traced_gpu_run(&src, &FaultInjector::disabled(), &cfg).unwrap();
+        let (out_b, ev_b) =
+            traced_gpu_run(&src, &FaultInjector::new(FaultPlan::new()), &cfg).unwrap();
         assert_eq!(out_a, out_b);
         // No fault, retry, or failover instants — and the same events
         // otherwise. (Traces also carry wall-clock channel-wait spans and

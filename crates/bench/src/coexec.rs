@@ -416,7 +416,7 @@ const MANDEL_SWEEP: [usize; 5] = [96, 128, 160, 224, 288];
 const MATMUL_SWEEP_QUICK: [usize; 2] = [96, 288];
 const MANDEL_SWEEP_QUICK: [usize; 2] = [96, 288];
 
-/// Entry point for `figures --coexec`: size sweeps over the splittable
+/// Entry point for `figures coexec`: size sweeps over the splittable
 /// apps plus batching over the proven chains. `quick` selects the
 /// reduced CI sweep.
 pub fn run_coexec(sizes: &Sizes, quick: bool) -> Result<CoexecReport, String> {

@@ -15,16 +15,22 @@
 //! reduced inputs (the kernels are interpreted); `--paper-scale` selects
 //! the paper's original sizes.
 //!
-//! The `figures` binary also has a **chaos mode** (`--chaos-seed N`): all
-//! five applications run under a seeded deterministic fault schedule on
-//! the simulated GPU — plus a permanent device-loss scenario — and the
-//! harness asserts every run still matches its fault-free reference (see
-//! [`chaos`]), a **serving mode** (`--serve`): open-loop multi-tenant
-//! load with kill-chaos in half the tenants, gating cross-tenant
-//! isolation byte-for-byte (see [`serve_bench`]), and an **SDC mode**
-//! (`--sdc-seed N`): seeded silent bit flips on all five apps (gating
-//! 100% detection and byte-identical recovery) plus a straggler-hedging
-//! tail-latency comparison (see [`sdc`]).
+//! The `figures` binary also runs the harness's robustness and
+//! scheduling modes as subcommands: `figures chaos` (all five
+//! applications under a seeded deterministic fault schedule on the
+//! simulated GPU, plus a permanent device-loss scenario, each checked
+//! against its fault-free reference — see [`chaos`]), `figures
+//! kill-chaos` (seeded actor kills and supervised restarts), `figures
+//! serve` (open-loop multi-tenant load with kill-chaos in half the
+//! tenants, gating cross-tenant isolation byte-for-byte — see
+//! [`serve_bench`]), `figures sdc` (seeded silent bit flips on all five
+//! apps, gating 100% detection and byte-identical recovery, plus a
+//! straggler-hedging tail-latency comparison — see [`sdc`]) and `figures
+//! coexec` (the co-execution crossover and batching sweep — see
+//! [`coexec`]).
+//!
+//! Everything here is measured on the virtual clock. Host wall-clock
+//! speed has one harness, the separate `perfbench/` workspace.
 
 #![warn(missing_docs)]
 
@@ -39,7 +45,6 @@ pub mod figures;
 pub mod sdc;
 pub mod serve_bench;
 pub mod table1;
-pub mod wallclock;
 
 pub use apps_ens::Sizes;
 

@@ -466,7 +466,7 @@ impl SdcReport {
     }
 }
 
-/// Entry point for `figures --sdc-seed N`: corruption chaos over all
+/// Entry point for `figures sdc --seed N`: corruption chaos over all
 /// five apps plus the straggler-hedging comparison.
 pub fn run_sdc(seed: u64, sizes: &Sizes, tenants: usize) -> Result<SdcReport, String> {
     let apps = run_sdc_corruption(seed, sizes)?;

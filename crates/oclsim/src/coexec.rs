@@ -20,11 +20,12 @@
 //! rescued onto the primary, mirroring the failover story of the rest
 //! of the stack.
 //!
-//! Splitting is per-run: the VM reads [`CoexecConfig::from_env`]
-//! (`OCLSIM_COEXEC=static[,batch][,min=N][,cap=N]`) unless a config is
-//! set programmatically, and falls back to plain single-device dispatch
-//! whenever the proof says reduction/blocked, the range is under
-//! [`CoexecConfig::min_items`], or no second device resolves.
+//! Splitting is per-run: each VM starts from [`CoexecConfig::default`]
+//! (no split, no batching) and its embedder opts in through the VM's
+//! `set_coexec`. A split-enabled run still falls back to plain
+//! single-device dispatch whenever the proof says reduction/blocked, the
+//! range is under [`CoexecConfig::min_items`], or no second device
+//! resolves.
 
 use crate::error::ClResult;
 use crate::event::Event;
@@ -33,7 +34,8 @@ use crate::program::Kernel;
 use crate::queue::CommandQueue;
 use trace::SpanKind;
 
-/// Per-run co-execution configuration (see [`CoexecConfig::from_env`]).
+/// Per-run co-execution configuration; the default splits and batches
+/// nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoexecConfig {
     /// Split proven-splittable dispatches across two devices
@@ -59,44 +61,6 @@ impl Default for CoexecConfig {
             min_items: 2048,
             batch_cap: 64,
         }
-    }
-}
-
-impl CoexecConfig {
-    /// Parse the `OCLSIM_COEXEC` environment variable: a comma- or
-    /// space-separated token list. `static` turns splitting on, `batch`
-    /// enables dispatch batching, `min=N` and `cap=N` override the
-    /// numeric knobs, `off` turns splitting off (the default). Unset or
-    /// empty → default config.
-    pub fn from_env() -> CoexecConfig {
-        match std::env::var("OCLSIM_COEXEC") {
-            Ok(s) => CoexecConfig::parse(&s),
-            Err(_) => CoexecConfig::default(),
-        }
-    }
-
-    /// Parse a token list (the `OCLSIM_COEXEC` grammar — see
-    /// [`CoexecConfig::from_env`]). Unknown tokens are ignored.
-    pub fn parse(s: &str) -> CoexecConfig {
-        let mut cfg = CoexecConfig::default();
-        for tok in s.split([',', ' ']).filter(|t| !t.is_empty()) {
-            if tok == "static" {
-                cfg.split = true;
-            } else if tok == "batch" {
-                cfg.batch = true;
-            } else if tok == "off" {
-                cfg.split = false;
-            } else if let Some(v) = tok.strip_prefix("min=") {
-                if let Ok(n) = v.parse() {
-                    cfg.min_items = n;
-                }
-            } else if let Some(v) = tok.strip_prefix("cap=") {
-                if let Ok(n) = v.parse::<usize>() {
-                    cfg.batch_cap = n.max(1);
-                }
-            }
-        }
-        cfg
     }
 }
 
@@ -453,23 +417,6 @@ mod tests {
         assert!(
             co_small >= single_small,
             "co-exec {co_small} must not beat single {single_small} at 256 items"
-        );
-    }
-
-    #[test]
-    fn config_parse_grammar() {
-        let cfg = CoexecConfig::parse("static,batch,min=512,cap=16");
-        assert!(cfg.split);
-        assert!(cfg.batch);
-        assert_eq!(cfg.min_items, 512);
-        assert_eq!(cfg.batch_cap, 16);
-        assert!(!CoexecConfig::parse("").split);
-        assert!(!CoexecConfig::parse("static,off").split);
-        assert!(CoexecConfig::parse("static nonsense").split);
-        // Tokens of the retired chunked/guided policies are ignored.
-        assert_eq!(
-            CoexecConfig::parse("guided,chunk=4"),
-            CoexecConfig::default()
         );
     }
 }

@@ -30,7 +30,8 @@ pub enum Type {
     Uint,
     /// 64-bit signed integer.
     Long,
-    /// 32-bit IEEE float (computed at f64 internally, stored as f32).
+    /// 32-bit IEEE float (computed in f64 without per-op rounding; rounded
+    /// to f32 only when stored to a buffer).
     Float,
     /// OpenCL short-vector of four floats, used by the C-OpenCL document
     /// ranking kernel (the Ensemble path lacks it — a paper finding).

@@ -147,7 +147,8 @@ pub enum Op {
     /// Traps on division by zero.
     RemI,
     NegI,
-    // Float arithmetic (f64 internally; stored as f32 in buffers).
+    // Float arithmetic: computed in f64 and kept in f64 in locals, rounded
+    // to f32 only on a store to a buffer (not per operation, as in OpenCL).
     AddF,
     SubF,
     MulF,

@@ -43,7 +43,10 @@ pub struct MemPool {
 pub enum Val {
     /// Integer register (int/uint/long/bool).
     I(i64),
-    /// Float register (f32 semantics, f64 storage).
+    /// Float register. Arithmetic on it runs in f64 and is rounded to f32
+    /// only when stored to a `float` buffer, not after each operation as
+    /// OpenCL `float` is, so a long float chain (Mandelbrot's iteration)
+    /// can end a last bit away from a true f32 computation.
     F(f64),
     /// float4 register.
     F4([f32; 4]),
@@ -552,6 +555,7 @@ fn run_until_stop(item: &mut Item, ctx: &mut GroupCtx<'_>) -> Result<StopReason,
                 let a = pop_i!(item);
                 item.stack.push(Val::I(a.wrapping_neg()));
             }
+            // f64 arithmetic, unrounded: see `Val::F`.
             Op::AddF => {
                 let b = pop_f!(item);
                 let a = pop_f!(item);

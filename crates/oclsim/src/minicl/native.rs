@@ -3154,6 +3154,11 @@ mod tests {
     }
 }
 
+/// Engine-speed gates: native must beat the stack reference on a
+/// matmul-shaped loop kernel and on a barrier-heavy reduction. Timing is
+/// meaningless in debug builds, so these are `#[ignore]`d and run in
+/// release: `cargo test --release -p oclsim --lib -- --ignored
+/// kernel_micro barrier_micro`.
 #[cfg(test)]
 mod microbench {
     use super::*;
@@ -3161,6 +3166,43 @@ mod microbench {
     use crate::minicl::interp::{self, Val};
     use crate::minicl::parser::parse;
     use crate::minicl::regir;
+
+    /// Time kernel `name` of `src` on both engines, best of 5 each on a
+    /// fresh pool from `mk`, and assert native is strictly faster.
+    fn native_beats_stack(
+        src: &str,
+        name: &str,
+        args: &[RtArg],
+        mk: impl Fn() -> MemPool,
+        global: [usize; 3],
+        local: [usize; 3],
+    ) {
+        let ast = parse(src).unwrap();
+        let unit = compile(&ast).unwrap();
+        let info = unit.kernels.get(name).unwrap().clone();
+        let reg = regir::compile_kernel(&unit, &info).unwrap();
+        let nat = compile_native(&reg, &info).unwrap();
+        let mut best_s = u128::MAX;
+        let mut best_n = u128::MAX;
+        for _ in 0..5 {
+            let mut pool = mk();
+            let t = std::time::Instant::now();
+            interp::run_ndrange(&unit, &info, args, &mut pool, global, local).unwrap();
+            best_s = best_s.min(t.elapsed().as_micros());
+            let mut pool = mk();
+            let t = std::time::Instant::now();
+            run_ndrange(&nat, &info, args, &mut pool, global, local).unwrap();
+            best_n = best_n.min(t.elapsed().as_micros());
+        }
+        eprintln!(
+            "{name}: stack {best_s}us native {best_n}us speedup {:.2}x",
+            best_s as f64 / best_n as f64
+        );
+        assert!(
+            best_n < best_s,
+            "{name}: native best-of-5 {best_n}us is not faster than stack {best_s}us"
+        );
+    }
 
     #[test]
     #[ignore]
@@ -3174,11 +3216,6 @@ mod microbench {
             }
         "#;
         let n = 128usize;
-        let ast = parse(src).unwrap();
-        let unit = compile(&ast).unwrap();
-        let info = unit.kernels.get("mm").unwrap().clone();
-        let reg = regir::compile_kernel(&unit, &info).unwrap();
-        let nat = compile_native(&reg, &info).unwrap();
         let args = [
             RtArg::Buf { pool_slot: 0 },
             RtArg::Buf { pool_slot: 1 },
@@ -3189,21 +3226,7 @@ mod microbench {
             bufs: vec![vec![1u8; n * n * 4], vec![2u8; n * n * 4], vec![0u8; n * n * 4]],
             read_only: vec![false, false, false],
         };
-        let global = [n, n, 1];
-        let local = [8, 8, 1];
-        let mut best_s = u128::MAX;
-        let mut best_n = u128::MAX;
-        for _ in 0..5 {
-            let mut pool = mk();
-            let t = std::time::Instant::now();
-            interp::run_ndrange(&unit, &info, &args, &mut pool, global, local).unwrap();
-            best_s = best_s.min(t.elapsed().as_micros());
-            let mut pool = mk();
-            let t = std::time::Instant::now();
-            run_ndrange(&nat, &info, &args, &mut pool, global, local).unwrap();
-            best_n = best_n.min(t.elapsed().as_micros());
-        }
-        eprintln!("stack {best_s}us native {best_n}us speedup {:.2}x", best_s as f64 / best_n as f64);
+        native_beats_stack(src, "mm", &args, mk, [n, n, 1], [8, 8, 1]);
     }
 
     #[test]
@@ -3224,11 +3247,6 @@ mod microbench {
         "#;
         let n = 1usize << 20;
         let group = 256usize;
-        let ast = parse(src).unwrap();
-        let unit = compile(&ast).unwrap();
-        let info = unit.kernels.get("red").unwrap().clone();
-        let reg = regir::compile_kernel(&unit, &info).unwrap();
-        let nat = compile_native(&reg, &info).unwrap();
         let args = [
             RtArg::Buf { pool_slot: 0 },
             RtArg::Buf { pool_slot: 1 },
@@ -3239,20 +3257,6 @@ mod microbench {
             bufs: vec![vec![1u8; n * 4], vec![0u8; (n / group) * 4]],
             read_only: vec![false, false],
         };
-        let global = [n, 1, 1];
-        let local = [group, 1, 1];
-        let mut best_s = u128::MAX;
-        let mut best_n = u128::MAX;
-        for _ in 0..5 {
-            let mut pool = mk();
-            let t = std::time::Instant::now();
-            interp::run_ndrange(&unit, &info, &args, &mut pool, global, local).unwrap();
-            best_s = best_s.min(t.elapsed().as_micros());
-            let mut pool = mk();
-            let t = std::time::Instant::now();
-            run_ndrange(&nat, &info, &args, &mut pool, global, local).unwrap();
-            best_n = best_n.min(t.elapsed().as_micros());
-        }
-        eprintln!("stack {best_s}us native {best_n}us speedup {:.2}x", best_s as f64 / best_n as f64);
+        native_beats_stack(src, "red", &args, mk, [n, 1, 1], [group, 1, 1]);
     }
 }

@@ -165,9 +165,8 @@ struct Shared {
     /// Registered by the serving layer's memory accountant; called for
     /// every `mov` value the moment it becomes device-resident.
     resident_hook: Mutex<Option<ResidentHook>>,
-    /// Co-execution / dispatch-batching configuration. The ambient
-    /// default comes from `OCLSIM_COEXEC` at VM construction;
-    /// [`VmRuntime::set_coexec`] overrides it per VM.
+    /// Co-execution / dispatch-batching configuration:
+    /// [`CoexecConfig::default`] until [`VmRuntime::set_coexec`] sets it.
     coexec: Mutex<CoexecConfig>,
     /// Open batched-dispatch sessions, keyed by `chain-host@device-id`
     /// so every kernel actor of one proven chain appends to the same
@@ -218,7 +217,7 @@ impl VmRuntime {
                 env: Mutex::new(Arc::new(MatrixResolver)),
                 deadline: Mutex::new(None),
                 resident_hook: Mutex::new(None),
-                coexec: Mutex::new(CoexecConfig::from_env()),
+                coexec: Mutex::new(CoexecConfig::default()),
                 batches: Mutex::new(HashMap::new()),
             }),
             budget: RestartBudget::default(),
@@ -256,10 +255,9 @@ impl VmRuntime {
     }
 
     /// Set the co-execution / dispatch-batching configuration for this
-    /// VM's kernel actors (see [`oclsim::CoexecConfig`]). The default is
-    /// parsed from `OCLSIM_COEXEC` when the VM is constructed; setting a
-    /// config explicitly makes runs independent of ambient environment
-    /// state, which is what the benches and tests do.
+    /// VM's kernel actors (see [`oclsim::CoexecConfig`]). A VM starts
+    /// from [`CoexecConfig::default`], which neither splits nor batches;
+    /// this is the only way to turn either on.
     pub fn set_coexec(&self, cfg: CoexecConfig) {
         *self.shared.coexec.lock() = cfg;
     }

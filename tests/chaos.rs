@@ -1,7 +1,7 @@
 //! Fault injection and supervised recovery, asserted end to end.
 //!
 //! These drive the bench harness's chaos mode (the same code behind
-//! `cargo run -p bench --bin figures -- --chaos-seed N`) as a fast smoke
+//! `cargo run -p bench --bin figures -- chaos --seed N`) as a fast smoke
 //! test, plus the specific recovery claims: seeded transient faults are
 //! absorbed by retries (one retry per injected fault, reference-correct
 //! output), a permanently lost GPU fails over to the CPU matrix entry and
@@ -9,6 +9,7 @@
 
 use bench::apps_ens::{self, Sizes};
 use bench::chaos;
+use oclsim::CoexecConfig;
 use proptest::prelude::*;
 
 fn smoke_sizes() -> Sizes {
@@ -23,7 +24,7 @@ fn smoke_sizes() -> Sizes {
     }
 }
 
-/// The `--chaos-seed` run the harness exposes, at smoke sizes: all five
+/// The `figures chaos` run the harness exposes, at smoke sizes: all five
 /// applications absorb at least one injected transient each and match
 /// their fault-free references.
 #[test]
@@ -70,7 +71,13 @@ proptest! {
             ("matmul", apps_ens::matmul(16, "GPU")),
             ("reduction", apps_ens::reduction(1 << 10, "GPU")),
         ] {
-            let o = chaos::run_app_chaos(app, &src, chaos::chaos_plan(seed, 11)).unwrap();
+            let o = chaos::run_app_chaos(
+                app,
+                &src,
+                chaos::chaos_plan(seed, 11),
+                &CoexecConfig::default(),
+            )
+            .unwrap();
             prop_assert!(o.matches_reference, "{}", o.render());
             prop_assert!(o.injected >= 1, "{}", o.render());
             prop_assert_eq!(o.retries, o.injected, "{}", o.render());
@@ -238,7 +245,7 @@ use ensemble_ocl::recovery::{with_retry, RecoveryPolicy};
 use ensemble_ocl::ProfileSink;
 use oclsim::{ClError, CommandQueue, Context, DeviceType, Platform};
 
-/// The `--sdc-seed` run the harness exposes, at smoke sizes: every
+/// The `figures sdc` run the harness exposes, at smoke sizes: every
 /// injected silent bit flip across the five applications is caught by
 /// the provenance checksums, repaired from the last checkpoint, and the
 /// recovered run's outputs *and* virtual clock end byte-identical to
